@@ -12,6 +12,7 @@ an SVG of the configuration.
 from fractions import Fraction
 
 from torusaffine import (
+    grid_oracle_count,
     intersection_count_2d,
     intersection_points,
     line_through,
@@ -19,7 +20,6 @@ from torusaffine import (
     point,
     render_scene,
 )
-from torusaffine.cli import grid_oracle_count
 
 def describe(line):
     return f"direction {line.direction} through {line.base}"

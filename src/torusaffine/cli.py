@@ -21,17 +21,16 @@ import random
 import sys
 import time
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .affine import AffineTorusAuto, balanced_residue
 from .collineation import BudgetExceededError, collineation_group
 from .fileformat import TorusMapFormatError, emit_torusmap, parse_torusmap
 from .geometry import (
     RatPoint,
-    are_parallel,
+    grid_oracle_count,
     intersection_count_2d,
     intersection_points,
-    line_grid_points,
     line_through,
 )
 from .intmat import det
@@ -96,24 +95,6 @@ def _line_from_args(dir_text: str, base_text: str):
     if direction == (0, 0):
         raise InputError("direction must be nonzero")
     return line_through(_parse_rationals(base_text), direction)
-
-
-def grid_oracle_count(l1, l2, max_denominator: int | None = None) -> int:
-    """Independent intersection count: enumerate both grid traces at a
-    common denominator fine enough to hold every intersection point, and
-    literally intersect the point sets."""
-    if are_parallel(l1, l2):
-        raise InputError("parallel lines: the grid oracle refuses")
-    d = abs(det((l1.direction, l2.direction)))
-    denom = lcm(
-        1, *(c.denominator for c in l1.base.coords + l2.base.coords)
-    )
-    m = denom * d
-    if max_denominator is not None and m > max_denominator:
-        raise InputError(
-            f"oracle grid denominator {m} exceeds bound {max_denominator}"
-        )
-    return len(set(line_grid_points(l1, m)) & set(line_grid_points(l2, m)))
 
 
 # --------------------------------------------------------------- gen

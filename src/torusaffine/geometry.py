@@ -1,11 +1,14 @@
-"""Rational points, rational lines and block configurations on the torus.
+"""Rational points, subtorus cosets, rational lines and block configurations
+on the torus.
 
 The torus is T^n = R^n / Z^n.  Points carry reduced rational coordinates in
-[0,1).  A rational line is a coset of a one-parameter rational subgroup:
-``{[base + t * direction] : t in R}`` with a primitive integer direction.
-Lines are canonicalized on construction (direction sign-canonical, base
-moved to the canonical transversal slice), so two lines are equal as sets
-exactly when they compare equal structurally.
+[0,1).  A rank-k rational subtorus coset is stored as a canonical base point
+plus a saturated lattice basis of its tangent directions.  A rational line
+is the rank-1 case: ``{[base + t * direction] : t in R}`` with a primitive
+integer direction.  Cosets are canonicalized on construction (Hermite basis,
+base moved to the canonical transversal slice), so two cosets are equal as
+sets exactly when they compare equal structurally.  Counting questions
+reduce to Smith normal forms of small integer matrices.
 """
 
 from __future__ import annotations
@@ -13,11 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, product
+from math import lcm
 from typing import Sequence
 
-from .intmat import from_columns, frac_matvec, inverse_unimodular, matvec
-from .lattice import complete_to_unimodular, primitive_part, snf_decomposition
+from .intmat import Matrix, det, from_columns, frac_matvec, inverse_unimodular
+from .lattice import LatticeBasis, basis_extension, primitive_part, snf_decomposition
 
 
 def _frac(x) -> Fraction:
@@ -56,39 +60,69 @@ def origin(n: int) -> RatPoint:
 
 
 @lru_cache(maxsize=None)
-def _direction_frames(direction: tuple[int, ...]):
-    """(u, u_inv) for the fixed unimodular completion of a direction."""
-    u = complete_to_unimodular(direction)
+def _frames(lattice: LatticeBasis) -> tuple[Matrix, Matrix]:
+    """Deterministic unimodular completion of a saturated basis, with inverse.
+
+    The first k columns of the returned matrix are the basis vectors; the
+    inverse carries ambient points into split coordinates where the tangent
+    directions come first.
+    """
+    u = basis_extension(lattice)
     return u, inverse_unimodular(u)
 
 
 @dataclass(frozen=True)
-class RationalLine:
-    """A rational line, stored in canonical form.
+class RationalSubtorus:
+    """A coset of a closed connected subgroup with rational tangent.
 
-    ``direction`` is primitive with positive first nonzero entry.  ``base``
-    is the canonical representative of the coset: writing the point in the
-    coordinates of the fixed unimodular completion of the direction, the
-    along-line coordinate is zeroed and the rest reduced into [0,1).
+    The base point is canonicalized by zeroing the tangent coordinates in the
+    split frame of the lattice, so equal cosets compare equal.
     """
 
     base: RatPoint
-    direction: tuple[int, ...]
+    lattice: LatticeBasis
 
     def __post_init__(self):
-        direction, _ = primitive_part(self.direction)
-        base = self.base if isinstance(self.base, RatPoint) else RatPoint(tuple(self.base))
-        if base.dim != len(direction):
-            raise ValueError("base and direction dimensions differ")
-        u, u_inv = _direction_frames(direction)
-        sliced = frac_matvec(u_inv, base.coords)
-        sliced = (Fraction(0),) + sliced[1:]
-        object.__setattr__(self, "base", RatPoint(frac_matvec(u, sliced)))
-        object.__setattr__(self, "direction", direction)
+        if not self.lattice.saturated:
+            raise ValueError("tangent lattice must be saturated")
+        k = self.lattice.rank
+        if k == 0:
+            raise ValueError("no direction")
+        if self.base.dim != self.lattice.dim:
+            raise ValueError("base dimension mismatch")
+        u, u_inv = _frames(self.lattice)
+        split = (Fraction(0),) * k + frac_matvec(u_inv, self.base.coords)[k:]
+        object.__setattr__(self, "base", RatPoint(frac_matvec(u, split)))
 
     @property
     def dim(self) -> int:
-        return len(self.direction)
+        return self.lattice.dim
+
+    @property
+    def rank(self) -> int:
+        return self.lattice.rank
+
+    def __str__(self) -> str:
+        dirs = ", ".join(str(v) for v in self.lattice.vectors)
+        return f"{self.base} + span({dirs})"
+
+
+class RationalLine(RationalSubtorus):
+    """A rational line: the rank-1 subtorus coset through ``base`` along
+    ``direction``.
+
+    The stored direction is primitive with positive first nonzero entry.
+    Such a vector is its own Hermite basis and spans a saturated lattice, so
+    no reduction is needed to build the canonical form.
+    """
+
+    def __init__(self, base: RatPoint, direction: Sequence[int]):
+        prim, _ = primitive_part(direction)
+        super().__init__(base, LatticeBasis((prim,), saturated=True))
+
+    @property
+    def direction(self) -> tuple[int, ...]:
+        return self.lattice.vectors[0]
 
 
 def line_through(p: RatPoint | Sequence, direction: Sequence[int]) -> RationalLine:
@@ -102,14 +136,60 @@ def line_through(p: RatPoint | Sequence, direction: Sequence[int]) -> RationalLi
     return RationalLine(base=base, direction=tuple(int(x) for x in direction))
 
 
-def contains(line: RationalLine, p: RatPoint) -> bool:
-    """Exact membership test of a point on a line."""
-    if p.dim != line.dim:
+def contains_point(s: RationalSubtorus, p: RatPoint) -> bool:
+    """Exact membership test of a point on a line or subtorus coset."""
+    if p.dim != s.dim:
         raise ValueError("dimension mismatch")
-    _, u_inv = _direction_frames(line.direction)
-    delta = tuple(a - b for a, b in zip(p.coords, line.base.coords))
-    z = frac_matvec(u_inv, delta)
-    return all(c.denominator == 1 for c in z[1:])
+    _, u_inv = _frames(s.lattice)
+    delta = tuple(a - b for a, b in zip(p.coords, s.base.coords))
+    split = frac_matvec(u_inv, delta)
+    return all(x.denominator == 1 for x in split[s.rank :])
+
+
+def _congruence_solve(columns, target, want_solutions: bool = True):
+    """Solve M x = target (mod Z^n) for the column matrix M.
+
+    Returns None when unsolvable; otherwise (count, scaled, kernel) where
+    count is the product of the nonzero Smith invariants of M, kernel is an
+    integer basis of the solutions of M x = 0, and scaled is (denom, sols)
+    with the particular solutions x (one per residue class) given as
+    integer tuples over the common denominator denom — or None when the
+    caller only needs the count.  The enumeration runs on scaled integers
+    because residue classes can be numerous.
+    """
+    n = len(target)
+    mat = from_columns(columns)
+    d, u, _, v, _ = snf_decomposition(mat)
+    invariants = [d[i][i] for i in range(min(n, len(columns))) if d[i][i] != 0]
+    r = len(invariants)
+    e = frac_matvec(u, target)
+    if any(e[i].denominator != 1 for i in range(r, n)):
+        return None
+    count = 1
+    for q in invariants:
+        count *= q
+    width = len(columns)
+    kernel = [tuple(v[i][j] for i in range(width)) for j in range(r, width)]
+    if not want_solutions:
+        return count, None, kernel
+    denom = 1
+    for q, ei in zip(invariants, e):
+        denom = lcm(denom, ei.denominator * q)
+    bases = [
+        ei.numerator * (denom // (ei.denominator * q))
+        for q, ei in zip(invariants, e)
+    ]
+    steps = [denom // q for q in invariants]
+    cols_v = [[v[i][j] for i in range(width)] for j in range(r)]
+    sols = []
+    for residues in product(*(range(q) for q in invariants)):
+        y = [b + w * s for b, w, s in zip(bases, residues, steps)]
+        sols.append(
+            tuple(
+                sum(cols_v[j][i] * y[j] for j in range(r)) for i in range(width)
+            )
+        )
+    return count, (denom, sols), kernel
 
 
 def are_parallel(l1: RationalLine, l2: RationalLine) -> bool:
@@ -170,27 +250,19 @@ def intersection_points(l1: RationalLine, l2: RationalLine) -> tuple[RatPoint, .
         raise ValueError("infinite intersection")
     if are_parallel(l1, l2):
         return ()
-    n = l1.dim
-    v1, v2 = l1.direction, l2.direction
-    mat = from_columns([v1, tuple(-x for x in v2)])
-    d, u, u_inv, v, v_inv = snf_decomposition(mat)
-    delta = tuple(
-        b - a for a, b in zip(l1.base.coords, l2.base.coords)
-    )
-    e = frac_matvec(u, delta)
-    for i in range(2, n):
-        if e[i].denominator != 1:
-            return ()
-    d0, d1 = d[0][0], d[1][1]
-    found = set()
-    for w0 in range(d0):
-        for w1 in range(d1):
-            y = ((e[0] + w0) / d0, (e[1] + w1) / d1)
-            t = v[0][0] * y[0] + v[0][1] * y[1]
-            pt = RatPoint(
-                tuple(b + t * x for b, x in zip(l1.base.coords, v1))
-            )
-            found.add(pt)
+    v1 = l1.direction
+    columns = [v1, tuple(-x for x in l2.direction)]
+    target = tuple(b - a for a, b in zip(l1.base.coords, l2.base.coords))
+    solved = _congruence_solve(columns, target)
+    if solved is None:
+        return ()
+    _, (denom, sols), _ = solved
+    found = {
+        RatPoint(
+            tuple(b + Fraction(x[0] * c, denom) for b, c in zip(l1.base.coords, v1))
+        )
+        for x in sols
+    }
     return tuple(sorted(found, key=lambda p: p.coords))
 
 
@@ -233,6 +305,30 @@ def line_grid_points(line: RationalLine, m: int) -> tuple[RatPoint, ...]:
             )
         )
     return tuple(sorted(pts, key=lambda p: p.coords))
+
+
+def grid_oracle_count(
+    l1: RationalLine, l2: RationalLine, max_denominator: int | None = None
+) -> int:
+    """Independent intersection count: enumerate both grid traces at a
+    common denominator fine enough to hold every intersection point, and
+    literally intersect the point sets.
+
+    Raises ValueError for parallel lines and when the grid denominator
+    exceeds ``max_denominator``.
+    """
+    if are_parallel(l1, l2):
+        raise ValueError("parallel lines: the grid oracle refuses")
+    d = abs(det((l1.direction, l2.direction)))
+    denom = lcm(
+        1, *(c.denominator for c in l1.base.coords + l2.base.coords)
+    )
+    m = denom * d
+    if max_denominator is not None and m > max_denominator:
+        raise ValueError(
+            f"oracle grid denominator {m} exceeds bound {max_denominator}"
+        )
+    return len(set(line_grid_points(l1, m)) & set(line_grid_points(l2, m)))
 
 
 def reflect_x(line: RationalLine) -> RationalLine:

@@ -287,16 +287,20 @@ def smith_invariants(mat: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _extension_from_columns(cols: Sequence[IntVec], n: int) -> Matrix:
-    """Unimodular n-by-n row-major matrix whose first k columns are ``cols``.
+def basis_extension(basis: LatticeBasis) -> Matrix:
+    """Unimodular matrix whose first ``rank`` columns are the basis vectors.
 
-    Requires the columns to span a saturated (hence direct-summand)
-    sublattice; raises ValueError otherwise.
+    Only saturated bases extend; for those the Smith invariants are all 1
+    and the construction always succeeds.  The completion is a fixed
+    deterministic function of the basis, which is what the canonical-form
+    machinery built on top of it needs.
     """
-    k = len(cols)
+    if not basis.saturated:
+        raise ValueError("saturated basis required")
+    cols = basis.vectors
+    n, k = basis.dim, basis.rank
     d, u, u_inv, v, v_inv = snf_decomposition(from_columns(cols))
-    invs = [d[i][i] for i in range(min(n, k))]
-    if any(x == 0 for x in invs) or any(x != 1 for x in invs):
+    if any(d[i][i] != 1 for i in range(k)):
         raise ValueError("columns do not form a saturated basis")
     # cols = u_inv . [v_inv ; 0], so pad v_inv to a block-diagonal square.
     w = [
@@ -307,29 +311,6 @@ def _extension_from_columns(cols: Sequence[IntVec], n: int) -> Matrix:
         for i in range(n)
     ]
     return matmul(u_inv, w)
-
-
-def complete_to_unimodular(v: Sequence[int]) -> Matrix:
-    """A unimodular matrix (row-major) whose first column is the primitive v.
-
-    The completion is a fixed deterministic function of v, which is what the
-    canonical-form machinery built on top of it needs.
-    """
-    vec = tuple(int(x) for x in v)
-    if not is_primitive(vec):
-        raise ValueError("primitive vector required")
-    return _extension_from_columns([vec], len(vec))
-
-
-def basis_extension(basis: LatticeBasis) -> Matrix:
-    """Unimodular matrix whose first ``rank`` columns are the basis vectors.
-
-    Only saturated bases extend; for those the Smith invariants are all 1
-    and the construction always succeeds.
-    """
-    if not basis.saturated:
-        raise ValueError("saturated basis required")
-    return _extension_from_columns(basis.vectors, basis.dim)
 
 
 def saturate(basis: LatticeBasis | Iterable[Sequence[int]]) -> LatticeBasis:

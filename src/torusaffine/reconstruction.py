@@ -22,6 +22,7 @@ from .collineation import (
     point_index,
 )
 from .geometry import RatPoint, is_block
+from .intmat import det
 
 
 class NotCollineationError(Exception):
@@ -226,8 +227,7 @@ def infer_affine(f: GridMap):
         return _extract_witness(f)
 
     base = tuple(tuple(col[r] for col in cols) for r in range(n))
-    det = _det_mod(base, m)
-    if gcd(det, m) != 1:
+    if gcd(det(base), m) != 1:
         return _extract_witness(f)
 
     for signs in product((1, -1), repeat=n):
@@ -238,18 +238,6 @@ def infer_affine(f: GridMap):
         if _matches(g, matrix):
             return AffineTorusAuto(matrix, b, m)
     return _extract_witness(f)
-
-
-def _det_mod(matrix, m: int) -> int:
-    n = len(matrix)
-    if n == 2:
-        return (matrix[0][0] * matrix[1][1] - matrix[0][1] * matrix[1][0]) % m
-    total = 0
-    for j in range(n):
-        minor = tuple(row[:j] + row[j + 1 :] for row in matrix[1:])
-        term = matrix[0][j] * _det_mod(minor, m)
-        total += term if j % 2 == 0 else -term
-    return total % m
 
 
 def _matches(g: GridMap, matrix) -> bool:
@@ -323,8 +311,7 @@ def _direction_normalizer(g: GridMap, inc) -> tuple | None:
     for u1, u2 in product(units, repeat=2):
         col1 = tuple(u1 * x % m for x in gh)
         col2 = tuple(u2 * x % m for x in gv)
-        det = col1[0] * col2[1] - col1[1] * col2[0]
-        if gcd(det, m) != 1:
+        if gcd(det((col1, col2)), m) != 1:
             continue
         diag = tuple((a + b) % m for a, b in zip(col1, col2))
         anti = tuple((a - b) % m for a, b in zip(col1, col2))
@@ -344,8 +331,7 @@ def _blocks_preserved(f: GridMap) -> bool:
     matrix = _direction_normalizer(g, inc)
     if matrix is None:
         return False
-    det = matrix[0][0] * matrix[1][1] - matrix[0][1] * matrix[1][0]
-    inv_det = pow(det % m, -1, m)
+    inv_det = pow(det(matrix) % m, -1, m)
     inverse = (
         (inv_det * matrix[1][1] % m, -inv_det * matrix[0][1] % m),
         (-inv_det * matrix[1][0] % m, inv_det * matrix[0][0] % m),

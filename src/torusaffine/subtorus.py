@@ -1,81 +1,31 @@
-"""Rational subtorus cosets: spans, membership, intersection counting,
-component decomposition, and quotient projections.
+"""Rational subtorus cosets: spans, line and coset intersection counting,
+component decomposition, quotient projections and images.
 
-A rank-k rational subtorus coset is stored as a canonical base point plus a
-saturated lattice basis of its tangent directions.  All arithmetic is exact;
-counting questions reduce to Smith normal forms of small integer matrices.
+The coset type itself, its membership test and the congruence solver live
+in :mod:`torusaffine.geometry` (a rational line is the rank-1 coset) and are
+re-exported here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import product
 from math import lcm
 
 from .affine import AffineTorusAuto
-from .geometry import IntersectionCount, RatPoint, RationalLine, origin
-from .intmat import Matrix, frac_matvec, from_columns, inverse_unimodular, matvec
-from .lattice import (
-    LatticeBasis,
-    basis_extension,
-    hnf,
-    saturate,
-    snf_decomposition,
+from .geometry import (
+    IntersectionCount,
+    RatPoint,
+    RationalLine,
+    RationalSubtorus,
+    _congruence_solve,
+    _frames,
+    contains_point,
+    origin,
 )
-
-
-@lru_cache(maxsize=None)
-def _lattice_frames(lattice: LatticeBasis) -> tuple[Matrix, Matrix]:
-    """Deterministic unimodular completion of a saturated basis, with inverse.
-
-    The first k columns of the returned matrix are the basis vectors; the
-    inverse carries ambient points into split coordinates where the tangent
-    directions come first.
-    """
-    u = basis_extension(lattice)
-    return u, inverse_unimodular(u)
-
-
-@dataclass(frozen=True)
-class RationalSubtorus:
-    """A coset of a closed connected subgroup with rational tangent.
-
-    The base point is canonicalized by zeroing the tangent coordinates in the
-    split frame of the lattice, so equal cosets compare equal.
-    """
-
-    base: RatPoint
-    lattice: LatticeBasis
-
-    def __post_init__(self):
-        if not self.lattice.saturated:
-            raise ValueError("tangent lattice must be saturated")
-        k = self.lattice.rank
-        if k == 0:
-            raise ValueError("no direction")
-        n = self.lattice.dim
-        if self.base.dim != n:
-            raise ValueError("base dimension mismatch")
-        _, u_inv = _lattice_frames(self.lattice)
-        split = list(frac_matvec(u_inv, self.base.coords))
-        for i in range(k):
-            split[i] = Fraction(0)
-        u, _ = _lattice_frames(self.lattice)
-        object.__setattr__(self, "base", RatPoint(frac_matvec(u, tuple(split))))
-
-    @property
-    def dim(self) -> int:
-        return self.lattice.dim
-
-    @property
-    def rank(self) -> int:
-        return self.lattice.rank
-
-    def __str__(self) -> str:
-        dirs = ", ".join(str(v) for v in self.lattice.vectors)
-        return f"{self.base} + span({dirs})"
+from .intmat import frac_matvec, matvec
+from .lattice import hnf, saturate
+from .lattice import snf_decomposition  # noqa: F401  (wrapped by name in bench/layers.py)
 
 
 def subtorus_span(base: RatPoint, dirs) -> RationalSubtorus:
@@ -88,62 +38,7 @@ def subtorus_span(base: RatPoint, dirs) -> RationalSubtorus:
 
 
 def line_as_subtorus(line: RationalLine) -> RationalSubtorus:
-    return subtorus_span(line.base, [line.direction])
-
-
-def contains_point(s: RationalSubtorus, p: RatPoint) -> bool:
-    if p.dim != s.dim:
-        raise ValueError("dimension mismatch")
-    _, u_inv = _lattice_frames(s.lattice)
-    delta = tuple(a - b for a, b in zip(p.coords, s.base.coords))
-    split = frac_matvec(u_inv, delta)
-    return all(x.denominator == 1 for x in split[s.rank :])
-
-
-def _congruence_solve(columns, target, want_solutions: bool = True):
-    """Solve M x = target (mod Z^n) for the column matrix M.
-
-    Returns None when unsolvable; otherwise (count, scaled, kernel) where
-    count is the product of the nonzero Smith invariants of M, kernel is an
-    integer basis of the solutions of M x = 0, and scaled is (denom, sols)
-    with the particular solutions x (one per residue class) given as
-    integer tuples over the common denominator denom — or None when the
-    caller only needs the count.  The enumeration runs on scaled integers
-    because residue classes can be numerous.
-    """
-    n = len(target)
-    mat = from_columns(columns)
-    d, u, _, v, _ = snf_decomposition(mat)
-    invariants = [d[i][i] for i in range(min(n, len(columns))) if d[i][i] != 0]
-    r = len(invariants)
-    e = frac_matvec(u, target)
-    if any(e[i].denominator != 1 for i in range(r, n)):
-        return None
-    count = 1
-    for q in invariants:
-        count *= q
-    width = len(columns)
-    kernel = [tuple(v[i][j] for i in range(width)) for j in range(r, width)]
-    if not want_solutions:
-        return count, None, kernel
-    denom = 1
-    for q, ei in zip(invariants, e):
-        denom = lcm(denom, ei.denominator * q)
-    bases = [
-        ei.numerator * (denom // (ei.denominator * q))
-        for q, ei in zip(invariants, e)
-    ]
-    steps = [denom // q for q in invariants]
-    cols_v = [[v[i][j] for i in range(width)] for j in range(r)]
-    sols = []
-    for residues in product(*(range(q) for q in invariants)):
-        y = [b + w * s for b, w, s in zip(bases, residues, steps)]
-        sols.append(
-            tuple(
-                sum(cols_v[j][i] * y[j] for j in range(r)) for i in range(width)
-            )
-        )
-    return count, (denom, sols), kernel
+    return RationalSubtorus(line.base, line.lattice)
 
 
 def line_subtorus_count(line: RationalLine, s: RationalSubtorus) -> IntersectionCount:
@@ -151,7 +46,7 @@ def line_subtorus_count(line: RationalLine, s: RationalSubtorus) -> Intersection
     when the line lies inside it, otherwise an exact finite count."""
     if line.base.dim != s.dim:
         raise ValueError("dimension mismatch")
-    _, u_inv = _lattice_frames(s.lattice)
+    _, u_inv = _frames(s.lattice)
     split = matvec(u_inv, line.direction)
     if all(x == 0 for x in split[s.rank :]):
         if contains_point(s, line.base):
@@ -221,7 +116,7 @@ def quotient_project(p: RatPoint, u: RationalSubtorus) -> RatPoint:
         raise ValueError("subtorus does not pass through 0")
     if p.dim != u.dim:
         raise ValueError("dimension mismatch")
-    _, u_inv = _lattice_frames(u.lattice)
+    _, u_inv = _frames(u.lattice)
     split = frac_matvec(u_inv, p.coords)
     return RatPoint(split[u.rank :])
 

@@ -15,12 +15,13 @@ from math import gcd, lcm
 from time import perf_counter
 
 from torusaffine.affine import AffineTorusAuto
-from torusaffine.cli import generate_map, grid_oracle_count, main
+from torusaffine.cli import generate_map, main
 from torusaffine.collineation import DiscreteLine, affine_group_order
 from torusaffine.fileformat import emit_torusmap
 from torusaffine.geometry import (
     RatPoint,
     block_criterion,
+    grid_oracle_count,
     intersection_count_2d,
     is_block,
     line_hyperplane_count,

@@ -5,14 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from torusaffine.cli import generate_map, grid_oracle_count, main
+from torusaffine.cli import generate_map, main
 from torusaffine.collineation import collineation_group, is_affine_perm
 from torusaffine.fileformat import (
     TorusMapFormatError,
     emit_torusmap,
     parse_torusmap,
 )
-from torusaffine.geometry import line_through
+from torusaffine.geometry import grid_oracle_count, line_through
 from torusaffine.reconstruction import GridMap
 
 

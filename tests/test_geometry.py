@@ -17,7 +17,7 @@ from torusaffine.geometry import (
     RatPoint,
     are_parallel,
     block_criterion,
-    contains,
+    contains_point,
     intersection_count_2d,
     intersection_points,
     is_block,
@@ -82,7 +82,7 @@ def test_line_through_zero_direction():
 def test_line_canonicalization_example():
     ell = line_through(point("1/6", 0), (2, 3))
     assert ell.direction == (2, 3)
-    assert contains(ell, point("1/6", 0))
+    assert contains_point(ell, point("1/6", 0))
     # same set, different presentation
     same = line_through(point("1/6", 0), (-2, -3))
     assert same == ell
@@ -121,13 +121,13 @@ def test_line_canonical_under_reparametrization(base, d, knum, kden):
         tuple(b + t * x for b, x in zip(base.coords, d))
     )
     assert line_through(moved, (-d[0], -d[1])) == ell
-    assert contains(ell, moved)
+    assert contains_point(ell, moved)
 
 
 def test_contains_negative():
     ell = line_through(origin(2), (1, 1))
-    assert not contains(ell, point("1/3", "2/3"))
-    assert contains(ell, point("1/3", "1/3"))
+    assert not contains_point(ell, point("1/3", "2/3"))
+    assert contains_point(ell, point("1/3", "1/3"))
 
 
 # ------------------------------------------------- intersection counts
@@ -197,7 +197,7 @@ def test_intersection_points_lie_on_both(b1, b2, d1, d2):
     assert len(pts) == len(set(pts))
     assert len(pts) == intersection_count_2d(l1, l2).count
     for p in pts:
-        assert contains(l1, p) and contains(l2, p)
+        assert contains_point(l1, p) and contains_point(l2, p)
 
 
 def test_intersection_points_t3():

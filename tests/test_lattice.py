@@ -15,7 +15,6 @@ from torusaffine.intmat import det, from_columns, inverse_unimodular, matmul, ma
 from torusaffine.lattice import (
     LatticeBasis,
     basis_extension,
-    complete_to_unimodular,
     coordinates_in,
     hnf,
     is_primitive,
@@ -237,45 +236,36 @@ def test_saturate_properties(vecs):
 # ----------------------------------------- unimodular completions
 
 
-def test_complete_to_unimodular_examples():
-    assert complete_to_unimodular((1, 0)) == ((1, 0), (0, 1))
-    u = complete_to_unimodular((0, 1))
-    assert tuple(row[0] for row in u) == (0, 1)
-    assert is_unimodular(u)
-    u = complete_to_unimodular((2, 3))
-    assert tuple(row[0] for row in u) == (2, 3)
-    assert is_unimodular(u)
-
-
-def test_complete_to_unimodular_rejects_imprimitive():
-    with pytest.raises(ValueError):
-        complete_to_unimodular((2, 4))
-
-
-@given(st.lists(st.integers(-30, 30), min_size=2, max_size=5))
-def test_complete_to_unimodular_property(v):
-    if all(x == 0 for x in v):
-        return
-    prim, _ = primitive_part(v)
-    u = complete_to_unimodular(prim)
-    assert tuple(row[0] for row in u) == prim
-    assert is_unimodular(u)
-    # deterministic: same input, same completion
-    assert complete_to_unimodular(prim) == u
-
-
 def test_basis_extension_prefix_columns():
-    sat = saturate(hnf([(2, 2, 0), (0, 2, 2)]))
-    u = basis_extension(sat)
-    assert is_unimodular(u)
-    for j, vec in enumerate(sat.vectors):
-        assert tuple(row[j] for row in u) == vec
-    inverse_unimodular(u)  # exists
+    assert basis_extension(hnf([(1, 0)])) == ((1, 0), (0, 1))
+    for gens in ([(0, 1)], [(2, 3)], [(2, 2, 0), (0, 2, 2)]):
+        sat = saturate(hnf(gens))
+        u = basis_extension(sat)
+        assert is_unimodular(u)
+        for j, vec in enumerate(sat.vectors):
+            assert tuple(row[j] for row in u) == vec
+        inverse_unimodular(u)  # exists
 
 
 def test_basis_extension_requires_saturated():
     with pytest.raises(ValueError):
         basis_extension(hnf([(2, 0), (0, 2)]))
+    with pytest.raises(ValueError):
+        basis_extension(hnf([(2, 4)]))
+
+
+@given(st.lists(st.integers(-30, 30), min_size=2, max_size=5))
+def test_basis_extension_property(v):
+    if all(x == 0 for x in v):
+        return
+    prim, _ = primitive_part(v)
+    basis = hnf([prim])
+    assert basis.vectors == (prim,) and basis.saturated
+    u = basis_extension(basis)
+    assert tuple(row[0] for row in u) == prim
+    assert is_unimodular(u)
+    # deterministic: same input, same completion
+    assert basis_extension(hnf([prim])) == u
 
 
 # ------------------------------------------------------ coordinates_in

@@ -20,6 +20,7 @@ from torusaffine.geometry import (
     origin,
     point,
 )
+from torusaffine.lattice import hnf
 from torusaffine.subtorus import (
     ComponentDecomposition,
     RationalSubtorus,
@@ -162,6 +163,32 @@ def test_contains_matches_trace_oracle(v1, v2, a, b, c):
     p = point(Fraction(a, 6), Fraction(b, 6), Fraction(c, 6))
     expected = p.coords in span_trace((0, 0, 0), s.lattice.vectors, 6)
     assert contains_point(s, p) == expected
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_line_is_rank_one_subtorus(data):
+    n = data.draw(st.integers(2, 4))
+
+    def draw_vec(lo, hi):
+        return data.draw(st.lists(st.integers(lo, hi), min_size=n, max_size=n))
+
+    def grid_point(xs):
+        return point(*(Fraction(x, 6) for x in xs))
+
+    v = draw_vec(-4, 4)
+    assume(gcd(*v) == 1)
+    base = grid_point(draw_vec(0, 5))
+    ell = line_through(base, v)
+    assert isinstance(ell, RationalSubtorus) and ell.rank == 1
+    assert ell.lattice == hnf([v]) and ell.lattice.saturated
+    assert line_as_subtorus(ell).base == ell.base
+    # the oracle walks the grid-6 trace from the uncanonicalized base
+    trace = line_trace(base.coords, v, 6)
+    k = data.draw(st.integers(0, 5))
+    on_line = point(*(b + Fraction(k * c, 6) for b, c in zip(base.coords, v)))
+    for p in (on_line, grid_point(draw_vec(0, 5))):
+        assert contains_point(ell, p) == (p.coords in trace)
 
 
 # ------------------------------------------------- line meets subtorus
