@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product as iproduct
 from math import gcd
 from multiprocessing import get_context
 
@@ -60,8 +61,6 @@ def primitive_lift(gen: tuple[int, ...], m: int) -> tuple[int, ...]:
     Exists whenever gcd(gen, m) = 1; found by a small deterministic search
     over per-coordinate shifts by multiples of m.
     """
-    from itertools import product as iproduct
-
     if gcd(*gen, m) != 1:
         raise ValueError("generator shares a factor with the modulus")
     for radius in range(1, 4):
@@ -99,11 +98,33 @@ class DiscreteLine:
         object.__setattr__(self, "points", tuple(pts))
 
 
+def lines_through(
+    a: tuple[int, ...], b: tuple[int, ...], m: int
+) -> list[DiscreteLine]:
+    """Every discrete line through the distinct grid points a and b, sorted
+    by generator.
+
+    With d = b - a and e = gcd(d, m), the line a + <g> contains b exactly
+    when e*g = d for a suitable generator g, so the candidates are
+    g = d/e + (m/e)*t for t in (Z/e)^n, kept when gcd(g, m) = 1.
+    """
+    n = len(a)
+    d = tuple((y - x) % m for x, y in zip(a, b))
+    e = gcd(*d, m)
+    if e == m:
+        raise ValueError("the two points coincide")
+    step = m // e
+    gens = set()
+    for t in iproduct(range(e), repeat=n):
+        g = tuple(x // e + step * s for x, s in zip(d, t))
+        if gcd(*g, m) == 1:
+            gens.add(canonical_generator(g, m))
+    return [DiscreteLine(n, m, g, a) for g in sorted(gens)]
+
+
 def enumerate_discrete_lines(n: int, m: int) -> list[DiscreteLine]:
     """All discrete lines of the m-grid on the n-torus, duplicate-free,
     sorted by (generator, base)."""
-    from itertools import product as iproduct
-
     if m < 3:
         raise ValueError("modulus too small")
     if n < 2:
@@ -220,7 +241,11 @@ def is_affine_perm(n: int, m: int, images) -> AffineTorusAuto | None:
         return None
     for idx in range(size):
         p = index_point(idx, n, m)
-        if point_index(phi.apply_residues(p), m) != images[idx]:
+        image = tuple(
+            (sum(a * x for a, x in zip(row, p)) + s) % m
+            for row, s in zip(matrix, shift)
+        )
+        if point_index(image, m) != images[idx]:
             return None
     return phi
 

@@ -59,6 +59,11 @@ def parse_torusmap(text: str) -> GridMap:
     if n < 1 or m < 1:
         raise TorusMapFormatError("size line must be 'n=<n> m=<m>'")
     records = lines[2:]
+    if m >= 2 and n > len(records).bit_length():
+        # m**n >= 2**n exceeds the record count; refuse before computing it
+        raise TorusMapFormatError(
+            f"n={n} m={m} needs more than the {len(records)} records found"
+        )
     expected = m**n
     if len(records) != expected:
         raise TorusMapFormatError(

@@ -1,9 +1,10 @@
 """Recover the affine model of a grid bijection, or certify that none exists.
 
-The pipeline: strip the translation, read candidate matrix columns off the
-images of the unit directions, resolve per-column signs by pointwise
-verification, and on failure hunt down three collinear points whose images
-are provably non-collinear.
+The pipeline: read the affine model off the images of 0 and the unit
+vectors and verify it pointwise; on failure, scan the discrete lines for
+three collinear points whose images are provably non-collinear.  Lines
+through two points are computed algebraically, so no global incidence
+table is built.
 """
 
 from __future__ import annotations
@@ -13,24 +14,18 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
-from .affine import AffineTorusAuto, balanced_residue
+from .affine import AffineTorusAuto
 from .collineation import (
     DiscreteLine,
-    build_incidence,
     canonical_generator,
+    enumerate_discrete_lines,
     index_point,
+    is_affine_perm,
+    lines_through,
     point_index,
 )
-from .geometry import RatPoint, is_block
+from .geometry import RatPoint, is_block, origin
 from .intmat import det
-
-
-class NotCollineationError(Exception):
-    """Some discrete line's image is not a line; carries the point triple."""
-
-    def __init__(self, triple):
-        super().__init__("not a collineation on this line")
-        self.triple = triple
 
 
 class NonaffineCollineationError(Exception):
@@ -99,40 +94,6 @@ def normalize_translation(f: GridMap) -> tuple[GridMap, RatPoint]:
     return GridMap(f.n, f.m, tuple(images)), b
 
 
-def _sign_canonical(v: tuple[int, ...], m: int) -> tuple[int, ...]:
-    for x in v:
-        if x > 0:
-            return v
-        if x < 0:
-            return tuple(balanced_residue(-y, m) for y in v)
-    return v
-
-
-def image_direction(g: GridMap, d: tuple[int, ...]) -> tuple[int, ...]:
-    """Balanced-residue representative of the image of direction d under a
-    0-fixing grid map, sign-canonicalized.
-
-    The m points of the line through 0 with direction d must map into the
-    cyclic subgroup generated by the image of d itself; otherwise the line
-    is broken and a point triple certifying that is raised.
-    """
-    m = g.m
-    if g.images[0] != 0:
-        raise ValueError("map must fix 0")
-    if gcd(*d, m) != 1:
-        raise ValueError("direction does not generate an m-point line")
-    d = tuple(x % m for x in d)
-    w = g.image_of(d)
-    subgroup = {tuple(k * x % m for x in w) for k in range(m)}
-    zero = (0,) * g.n
-    for k in range(2, m):
-        p = tuple(k * x % m for x in d)
-        if g.image_of(p) not in subgroup:
-            raise NotCollineationError((zero, d, p))
-    balanced = tuple(balanced_residue(x, m) for x in w)
-    return _sign_canonical(balanced, m)
-
-
 @dataclass(frozen=True)
 class Witness:
     """Certificate that a grid map is not a collineation: three points on
@@ -146,64 +107,67 @@ class Witness:
             return False
         if any(p not in self.line.points for p in self.points):
             return False
-        inc = build_incidence(f.n, f.m)
-        images = [f.image_of(p) for p in self.points]
-        for line in inc.lines:
-            if all(q in line.points for q in images):
-                return False
-        return True
+        a, b, c = (f.image_of(p) for p in self.points)
+        return all(c not in line.points for line in lines_through(a, b, f.m))
 
 
-def _scan_order(inc):
-    zero = (0,) * inc.n
-    return sorted(
-        range(len(inc.lines)),
-        key=lambda i: (
-            inc.lines[i].base != zero,
-            inc.lines[i].base,
-            inc.lines[i].generator,
-        ),
-    )
+def _image_line(f: GridMap, line: DiscreteLine) -> tuple[int, ...] | None:
+    """A generator of the image of line under f, or None when the image is
+    not a discrete line.
+
+    A line q0 + <g> contains q0 + g with gcd(g, m) = 1, and any such point
+    generates the same subgroup, so the first image q with gcd(q - q0, m)
+    = 1 fixes the only candidate line.
+    """
+    m = f.m
+    images = [f.image_of(p) for p in line.points]
+    q0 = images[0]
+    for q in images[1:]:
+        g = tuple((y - x) % m for x, y in zip(q0, q))
+        if gcd(*g, m) == 1:
+            break
+    else:
+        return None
+    span = {tuple((x + k * y) % m for x, y in zip(q0, g)) for k in range(m)}
+    return g if span == set(images) else None
 
 
-def _line_witness(f: GridMap, inc, li: int) -> Witness | None:
-    """First point triple of line li whose images are non-collinear, in
+def _line_witness(f: GridMap, line: DiscreteLine) -> Witness | None:
+    """First point triple of line whose images are non-collinear, in
     lexicographic (i, j, k) scan order; None if every triple fits on some
     line (possible only at composite moduli)."""
-    pts = inc.lines[li].points
+    pts = line.points
     images = [f.image_of(p) for p in pts]
-    idxs = [point_index(q, f.m) for q in images]
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
-            key = (min(idxs[i], idxs[j]), max(idxs[i], idxs[j]))
-            cands = inc.pair_lines.get(key, ())
+            cands = [
+                set(c.points) for c in lines_through(images[i], images[j], f.m)
+            ]
             for k in range(len(pts)):
                 if k in (i, j):
                     continue
-                bit = 1 << idxs[k]
-                if not any(inc.masks[c] & bit for c in cands):
-                    return Witness((pts[i], pts[j], pts[k]), inc.lines[li])
+                if not any(images[k] in c for c in cands):
+                    return Witness((pts[i], pts[j], pts[k]), line)
     return None
 
 
 def verify_line_preserving(f: GridMap):
     """True when every discrete line maps onto a discrete line; otherwise
-    the deterministic first Witness in scan order (lines through 0 first)."""
-    inc = build_incidence(f.n, f.m)
-    mask_set = frozenset(inc.masks)
-    violated = []
-    for li in _scan_order(inc):
-        image_mask = 0
-        for p in inc.lines[li].points:
-            image_mask |= 1 << f.images[point_index(p, f.m)]
-        if image_mask not in mask_set:
-            violated.append(li)
-    if not violated:
+    the deterministic first Witness in scan order (lines sorted by base,
+    then generator, so the lines through 0 come first)."""
+    lines = sorted(
+        enumerate_discrete_lines(f.n, f.m),
+        key=lambda line: (line.base, line.generator),
+    )
+    broken = False
+    for line in lines:
+        if _image_line(f, line) is None:
+            broken = True
+            witness = _line_witness(f, line)
+            if witness is not None:
+                return witness
+    if not broken:
         return True
-    for li in violated:
-        witness = _line_witness(f, inc, li)
-        if witness is not None:
-            return witness
     raise NonaffineCollineationError(
         "line images are broken, yet every point triple stays collinear"
     )
@@ -212,42 +176,11 @@ def verify_line_preserving(f: GridMap):
 def infer_affine(f: GridMap):
     """The affine map agreeing with f on the grid, else a Witness.
 
-    The matrix is assembled from the images of the unit directions; the
-    per-axis sign ambiguity of those reads is resolved by trying all sign
-    patterns against the full grid.
+    The model is read off the images of 0 and the unit vectors and
+    verified at every grid point (`is_affine_perm`).
     """
-    n, m = f.n, f.m
-    g, b = normalize_translation(f)
-    try:
-        cols = [
-            image_direction(g, tuple(1 if i == axis else 0 for i in range(n)))
-            for axis in range(n)
-        ]
-    except NotCollineationError:
-        return _extract_witness(f)
-
-    base = tuple(tuple(col[r] for col in cols) for r in range(n))
-    if gcd(det(base), m) != 1:
-        return _extract_witness(f)
-
-    for signs in product((1, -1), repeat=n):
-        matrix = tuple(
-            tuple(balanced_residue(s * col[r], m) for s, col in zip(signs, cols))
-            for r in range(n)
-        )
-        if _matches(g, matrix):
-            return AffineTorusAuto(matrix, b, m)
-    return _extract_witness(f)
-
-
-def _matches(g: GridMap, matrix) -> bool:
-    n, m = g.n, g.m
-    for idx in range(g.size):
-        p = index_point(idx, n, m)
-        image = tuple(sum(a * x for a, x in zip(row, p)) % m for row in matrix)
-        if g.images[idx] != point_index(image, m):
-            return False
-    return True
+    phi = is_affine_perm(f.n, f.m, f.images)
+    return phi if phi is not None else _extract_witness(f)
 
 
 def _extract_witness(f: GridMap) -> Witness:
@@ -268,22 +201,15 @@ class PropertyReport:
     subtorus_cosets_preserved: bool | None
 
 
-def _image_line_generator(f: GridMap, inc, li: int) -> tuple[int, ...]:
-    image_mask = 0
-    for p in inc.lines[li].points:
-        image_mask |= 1 << f.images[point_index(p, f.m)]
-    return inc.lines[inc.masks.index(image_mask)].generator
-
-
-def _parallels_preserved(f: GridMap, inc) -> bool:
+def _parallels_preserved(f: GridMap) -> bool:
     by_gen: dict[tuple[int, ...], set] = {}
-    for li in range(len(inc.lines)):
-        gen = inc.lines[li].generator
-        by_gen.setdefault(gen, set()).add(_image_line_generator(f, inc, li))
+    for line in enumerate_discrete_lines(f.n, f.m):
+        image_gen = canonical_generator(_image_line(f, line), f.m)
+        by_gen.setdefault(line.generator, set()).add(image_gen)
     return all(len(images) == 1 for images in by_gen.values())
 
 
-def _direction_normalizer(g: GridMap, inc) -> tuple | None:
+def _direction_normalizer(g: GridMap) -> tuple | None:
     """A matrix mod m acting on line directions exactly as the 0-fixing map
     g does on the four block families (horizontal, vertical, slope 1, slope
     -1), or None when no matrix matches.
@@ -294,18 +220,12 @@ def _direction_normalizer(g: GridMap, inc) -> tuple | None:
     """
     m = g.m
     families = [(1, 0), (0, 1), (1, 1), (1, m - 1)]
-    zero_line = {
-        line.generator: li
-        for li, line in enumerate(inc.lines)
-        if line.base == (0,) * 2
-    }
     image_gen = {}
     for d in families:
-        li = zero_line[canonical_generator(d, m)]
-        try:
-            image_gen[d] = _image_line_generator(g, inc, li)
-        except ValueError:
+        gen = _image_line(g, DiscreteLine(2, m, d, (0, 0)))
+        if gen is None:
             return None
+        image_gen[d] = canonical_generator(gen, m)
     units = [u for u in range(1, m) if gcd(u, m) == 1]
     gh, gv = image_gen[(1, 0)], image_gen[(0, 1)]
     for u1, u2 in product(units, repeat=2):
@@ -316,9 +236,8 @@ def _direction_normalizer(g: GridMap, inc) -> tuple | None:
         diag = tuple((a + b) % m for a, b in zip(col1, col2))
         anti = tuple((a - b) % m for a, b in zip(col1, col2))
         if (
-            canonical_generator(diag, m) == canonical_generator(image_gen[(1, 1)], m)
-            and canonical_generator(anti, m)
-            == canonical_generator(image_gen[(1, m - 1)], m)
+            canonical_generator(diag, m) == image_gen[(1, 1)]
+            and canonical_generator(anti, m) == image_gen[(1, m - 1)]
         ):
             return ((col1[0], col2[0]), (col1[1], col2[1]))
     return None
@@ -327,23 +246,14 @@ def _direction_normalizer(g: GridMap, inc) -> tuple | None:
 def _blocks_preserved(f: GridMap) -> bool:
     m = f.m
     g, _ = normalize_translation(f)
-    inc = build_incidence(2, m)
-    matrix = _direction_normalizer(g, inc)
+    matrix = _direction_normalizer(g)
     if matrix is None:
         return False
-    inv_det = pow(det(matrix) % m, -1, m)
-    inverse = (
-        (inv_det * matrix[1][1] % m, -inv_det * matrix[0][1] % m),
-        (-inv_det * matrix[1][0] % m, inv_det * matrix[0][0] % m),
-    )
+    inverse = AffineTorusAuto(matrix, origin(2), m).inverse()
     reduced = []
     for idx in range(g.size):
         q = g.image_of(index_point(idx, 2, m))
-        reduced.append(
-            point_index(
-                tuple(sum(a * x for a, x in zip(row, q)) % m for row in inverse), m
-            )
-        )
+        reduced.append(point_index(inverse.apply_residues(q), m))
     h = GridMap(2, m, tuple(reduced))
     for x0, x1, y0, y1 in product(range(m), repeat=4):
         if x0 >= x1 or y0 == y1:
@@ -399,8 +309,7 @@ def check_paper_properties(f: GridMap) -> PropertyReport:
     modulus, hyperplane subgroup cosets map to hyperplane cosets."""
     if verify_line_preserving(f) is not True:
         raise ValueError("map does not preserve lines")
-    inc = build_incidence(f.n, f.m)
-    parallels = _parallels_preserved(f, inc)
+    parallels = _parallels_preserved(f)
     blocks = _blocks_preserved(f) if f.n == 2 else None
     subtori = (
         _subtorus_cosets_preserved(f) if f.n >= 3 and _prime(f.m) else None

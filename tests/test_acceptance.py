@@ -294,6 +294,38 @@ def test_perturbed_maps_yield_validating_witnesses(tmp_path):
     assert dt <= 60
 
 
+def test_large_perturbed_table_reconstructs_within_gate(tmp_path):
+    # a global incidence table at (2, 64) costs about 30 s and 2.5 GB, so
+    # this gate fails if reconstruct ever builds one again
+    m = 64
+    f = generate_map(2, m, seed=7, kind="perturbed")
+    path = tmp_path / "perturbed64.txt"
+    path.write_text(emit_torusmap(f), encoding="ascii")
+    t0 = perf_counter()
+    code, out = _run_cli(["reconstruct", str(path)])
+    dt = perf_counter() - t0
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[:2] == ["WITNESS", f"n=2 m={m}"]
+    base = tuple(int(x) for x in lines[2].split()[1:])
+    generator = tuple(int(x) for x in lines[3].split()[1:])
+    line = {
+        tuple((b + k * g) % m for b, g in zip(base, generator)) for k in range(m)
+    }
+    points = [tuple(int(x) for x in row.split()[1:3]) for row in lines[4:7]]
+    assert len(set(points)) == 3 and set(points) <= line
+    # brute-force oracle: no subgroup <g> of order m holds both image
+    # differences, so the images lie on no discrete line
+    a, b, c = (f.image_of(p) for p in points)
+    diffs = [tuple((y - x) % m for x, y in zip(a, q)) for q in (b, c)]
+    for g in product(range(m), repeat=2):
+        if gcd(*g, m) == 1:
+            span = {(k * g[0] % m, k * g[1] % m) for k in range(m)}
+            assert not all(d in span for d in diffs)
+    print(f"perturbed (2,{m}) witness in {dt:.1f}s <= 20s")
+    assert dt <= 20
+
+
 def test_block_test_agrees_with_closed_form():
     t0 = perf_counter()
     eighths = [Fraction(k, 8) for k in range(8)]

@@ -1,12 +1,17 @@
 """File format, CLI verdicts, exit codes, and byte-level determinism."""
 
+import io
 import json
 from fractions import Fraction
 
 import pytest
 
 from torusaffine.cli import generate_map, main
-from torusaffine.collineation import collineation_group, is_affine_perm
+from torusaffine.collineation import (
+    canonical_generator,
+    collineation_group,
+    is_affine_perm,
+)
 from torusaffine.fileformat import (
     TorusMapFormatError,
     emit_torusmap,
@@ -53,6 +58,7 @@ def test_round_trip_bit_exact():
         (lambda t: t.replace("0 0 -> 0 0", "0 0 -> 0 1"), "not a permutation"),
         (lambda t: t[:-1], "trailing newline"),
         (lambda t: t.replace("n=2 m=3\n0 0 -> 0 0", "0 0 -> 0 0\nn=2 m=3"), "size line"),
+        (lambda t: "TORUSMAP v1\nn=100000000 m=1000000\n", "needs more than the 0"),
     ],
 )
 def test_parse_rejects(mangle, message):
@@ -123,16 +129,67 @@ def test_reconstruct_negation_with_shift(tmp_path, capsys):
     assert out == "AFFINE\nn=2 m=3\nA -1 0\nA 0 -1\nb 1/3 1/3\n"
 
 
+def radial_map(m):
+    """Scale each line through 0 (prime m) by its own unit: those lines
+    survive, so the first broken line has a nonzero base."""
+    pts = [(a, b) for a in range(m) for b in range(m)]
+    gens = sorted({canonical_generator(p, m) for p in pts if p != (0, 0)})
+    unit = {g: 1 + i % (m - 1) for i, g in enumerate(gens)}
+    images = [0]
+    for a, b in pts[1:]:
+        u = unit[canonical_generator((a, b), m)]
+        images.append(u * a % m * m + u * b % m)
+    return GridMap(2, m, tuple(images))
+
+
+# Witness reports pinned byte for byte: any drift in the line scan order or
+# in the (i, j, k) triple order shows here.
+PINNED_WITNESSES = [
+    (
+        generate_map(2, 5, seed=11, kind="perturbed"),
+        "line_base 0 0\nline_dir 1 0\n"
+        "p 0 0 -> 4 4\np 1 0 -> 1 0\np 2 0 -> 0 0\n",
+    ),
+    (
+        generate_map(2, 12, seed=3, kind="perturbed"),
+        "line_base 0 0\nline_dir 0 1\n"
+        "p 0 0 -> 9 1\np 0 1 -> 6 11\np 0 3 -> 8 9\n",
+    ),
+    (
+        generate_map(3, 7, seed=1, kind="perturbed"),
+        "line_base 0 0 0\nline_dir 1 5 3\n"
+        "p 0 0 0 -> 0 6 3\np 1 5 3 -> 2 2 6\np 6 2 4 -> 3 3 5\n",
+    ),
+    (
+        generate_map(2, 8, seed=2, kind="random"),
+        "line_base 0 0\nline_dir 0 1\n"
+        "p 0 0 -> 0 3\np 0 1 -> 2 5\np 0 4 -> 1 7\n",
+    ),
+    (
+        generate_map(4, 4, seed=5, kind="perturbed"),
+        "line_base 0 0 0 0\nline_dir 1 0 3 0\n"
+        "p 0 0 0 0 -> 3 2 1 3\np 1 0 3 0 -> 1 2 2 3\np 3 0 1 0 -> 2 3 1 1\n",
+    ),
+    (
+        radial_map(5),
+        "line_base 0 1\nline_dir 1 0\n"
+        "p 0 1 -> 0 1\np 1 1 -> 3 3\np 2 1 -> 2 1\n",
+    ),
+    (
+        radial_map(7),
+        "line_base 0 1\nline_dir 1 0\n"
+        "p 0 1 -> 0 1\np 1 1 -> 3 3\np 2 1 -> 5 6\n",
+    ),
+]
+
+
 def test_reconstruct_perturbed_witness(tmp_path, capsys):
-    path = tmp_path / "p.torusmap"
-    path.write_text(emit_torusmap(generate_map(2, 5, seed=11, kind="perturbed")))
-    code, out, err = run(capsys, "reconstruct", str(path))
-    assert code == 1
-    lines = out.split("\n")
-    assert lines[0] == "WITNESS"
-    assert lines[1] == "n=2 m=5"
-    assert lines[2].startswith("line_base ") and lines[3].startswith("line_dir ")
-    assert sum(1 for ln in lines if ln.startswith("p ")) == 3
+    path = tmp_path / "w.torusmap"
+    for f, body in PINNED_WITNESSES:
+        path.write_text(emit_torusmap(f))
+        code, out, err = run(capsys, "reconstruct", str(path))
+        assert (code, err) == (1, "")
+        assert out == f"WITNESS\nn={f.n} m={f.m}\n" + body
 
 
 def test_reconstruct_nonaffine_collineation(tmp_path, capsys):
@@ -153,6 +210,15 @@ def test_reconstruct_malformed(tmp_path, capsys):
     code, out, err = run(capsys, "reconstruct", str(path))
     assert code == 2
     assert "error:" in err
+
+
+def test_reconstruct_stdin_refuses_oversized_size_line(capsys, monkeypatch):
+    monkeypatch.setattr(
+        "sys.stdin", io.StringIO("TORUSMAP v1\nn=100000000 m=1000000\n")
+    )
+    code, out, err = run(capsys, "reconstruct", "-")
+    assert (code, out) == (2, "")
+    assert "needs more than the 0 records" in err
 
 
 # --------------------------------------------- intersect and oracle

@@ -20,6 +20,7 @@ from torusaffine.collineation import (
     enumerate_discrete_lines,
     index_point,
     is_affine_perm,
+    lines_through,
     point_index,
     primitive_lift,
 )
@@ -70,6 +71,26 @@ def test_lines_cover_and_have_m_points():
         for line in lines:
             covered.update(line.points)
         assert len(covered) == m * m
+
+
+@pytest.mark.parametrize(
+    "n,m",
+    [(2, m) for m in range(3, 10)] + [(2, 12), (3, 3), (3, 4), (3, 6)],
+)
+def test_lines_through_matches_incidence_table(n, m):
+    inc = build_incidence(n, m)
+    for a in range(inc.size):
+        for b in range(a + 1, inc.size):
+            expected = {inc.lines[li] for li in inc.pair_lines.get((a, b), ())}
+            got = lines_through(index_point(a, n, m), index_point(b, n, m), m)
+            assert set(got) == expected
+
+
+def test_lines_through_rejects_equal_points():
+    with pytest.raises(ValueError, match="coincide"):
+        lines_through((1, 2), (1, 2), 5)
+    with pytest.raises(ValueError, match="coincide"):
+        lines_through((1, 2), (5, 6), 4)
 
 
 def test_lines_through_each_point_prime():

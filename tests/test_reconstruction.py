@@ -14,16 +14,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusaffine.affine import AffineTorusAuto
-from torusaffine.collineation import collineation_group, is_affine_perm
+from torusaffine.collineation import (
+    DiscreteLine,
+    collineation_group,
+    is_affine_perm,
+)
 from torusaffine.geometry import RatPoint
 from torusaffine.reconstruction import (
     GridMap,
     NonaffineCollineationError,
-    NotCollineationError,
     PropertyReport,
     Witness,
     check_paper_properties,
-    image_direction,
     infer_affine,
     normalize_translation,
     verify_line_preserving,
@@ -73,43 +75,6 @@ def test_normalize_translation():
     assert g == GridMap.from_affine(linear, 2, 5)
 
 
-# --------------------------------------------------- image_direction
-
-
-def test_image_direction_under_affine():
-    phi = AffineTorusAuto(((2, 1), (1, 1)), grid_point(0, 0, m=5), 5)
-    g = GridMap.from_affine(phi, 2, 5)
-    assert image_direction(g, (1, 0)) == (2, 1)
-    assert image_direction(g, (0, 1)) == (1, 1)
-
-
-def test_image_direction_sign_canonical():
-    phi = AffineTorusAuto(((3, 0), (0, 1)), grid_point(0, 0, m=5), 5)
-    g = GridMap.from_affine(phi, 2, 5)
-    # 3 = -2 mod 5, and the leading negative is flipped to +2
-    assert image_direction(g, (1, 0)) == (2, 0)
-
-
-def test_image_direction_guards():
-    g = identity_map(2, 5)
-    with pytest.raises(ValueError, match="fix 0"):
-        image_direction(GridMap.from_affine(
-            AffineTorusAuto(((1, 0), (0, 1)), grid_point(1, 0, m=5), 5), 2, 5
-        ), (1, 0))
-    with pytest.raises(ValueError, match="generate"):
-        image_direction(g, (0, 5))
-
-
-def test_image_direction_broken_line():
-    images = list(range(25))
-    a, b = 2 * 5 + 0, 2 * 5 + 1  # swap (2,0) and (2,1)
-    images[a], images[b] = images[b], images[a]
-    g = GridMap(2, 5, tuple(images))
-    with pytest.raises(NotCollineationError) as info:
-        image_direction(g, (1, 0))
-    assert info.value.triple == ((0, 0), (1, 0), (2, 0))
-
-
 # ------------------------------------------------------ infer_affine
 
 
@@ -142,6 +107,17 @@ def test_infer_swapped_points_yields_witness():
     assert witness.line.generator == (1, 1)
     assert witness.line.base == (0, 0)
     assert (1, 1) in witness.points
+
+
+def test_witness_validate_rejects_collinear_images():
+    # at m = 6 the points 0 and (3, 0) lie on several lines together; the
+    # identity keeps the triple on one of them, so it certifies nothing
+    f = identity_map(2, 6)
+    line = DiscreteLine(2, 6, (1, 2), (0, 0))
+    assert not Witness(((0, 0), (3, 0), (1, 2)), line).validate(f)
+    # nor does a triple off the line or one with a repeated point
+    assert not Witness(((0, 0), (3, 0), (1, 0)), line).validate(f)
+    assert not Witness(((0, 0), (0, 0), (1, 2)), line).validate(f)
 
 
 def test_verify_line_preserving_identity():
