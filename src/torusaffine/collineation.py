@@ -9,6 +9,8 @@ exact, never estimates.
 
 from __future__ import annotations
 
+import os
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -122,30 +124,46 @@ def lines_through(
     return [DiscreteLine(n, m, g, a) for g in sorted(gens)]
 
 
-def enumerate_discrete_lines(n: int, m: int) -> list[DiscreteLine]:
-    """All discrete lines of the m-grid on the n-torus, duplicate-free,
-    sorted by (generator, base)."""
+def _generators(n: int, m: int) -> list[tuple[int, ...]]:
+    """The sorted canonical generators of the order-m cyclic subgroups: a
+    lexicographic walk meets each orbit under the units first at its least
+    member, so marking the orbit there keeps exactly those."""
+    gens = []
+    seen = set()
+    for g in iproduct(range(m), repeat=n):
+        if gcd(*g, m) == 1 and g not in seen:
+            gens.append(g)
+            seen.update(tuple(u * x % m for x in g) for u in _units(m))
+    return gens
+
+
+def _is_base(p: tuple[int, ...], g: tuple[int, ...], m: int) -> bool:
+    """Whether p is the lexicographically least point of p + <g>: with the
+    earlier coordinates held fixed, k runs over the multiples of step, so
+    coordinate x can drop to x mod gcd(step*y, m) and no further."""
+    step = 1
+    for x, y in zip(p, g):
+        c = gcd(step * y, m)
+        if x >= c:
+            return False
+        step *= m // c
+    return True
+
+
+def enumerate_discrete_lines(n: int, m: int) -> Iterator[DiscreteLine]:
+    """All discrete lines of the m-grid on the n-torus, each once, lazily,
+    in (base, generator) order."""
     if m < 3:
         raise ValueError("modulus too small")
     if n < 2:
         raise ValueError("dimension must be at least 2")
-    gens = sorted(
-        {
-            canonical_generator(g, m)
-            for g in iproduct(range(m), repeat=n)
-            if gcd(*g, m) == 1
-        }
+    gens = _generators(n, m)
+    return (
+        DiscreteLine(n, m, g, p)
+        for p in iproduct(range(m), repeat=n)
+        for g in gens
+        if _is_base(p, g, m)
     )
-    lines = []
-    for gen in gens:
-        covered = set()
-        for p in iproduct(range(m), repeat=n):
-            if p in covered:
-                continue
-            line = DiscreteLine(n, m, gen, p)
-            covered.update(line.points)
-            lines.append(line)
-    return lines
 
 
 @dataclass(frozen=True)
@@ -406,6 +424,7 @@ def collineation_group(
     inc = build_incidence(n, m)
     size = inc.size
     tasks = [(n, m, first, budget) for first in range(1, size)]
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
         results = [_search_task(t) for t in tasks]
     else:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 
-from .collineation import index_point
+from .collineation import index_point, point_index
 from .reconstruction import GridMap
 
 HEADER = "TORUSMAP v1"
@@ -80,10 +80,7 @@ def parse_torusmap(text: str) -> GridMap:
             raise TorusMapFormatError(
                 f"record {record!r} out of lexicographic order"
             )
-        flat = 0
-        for c in target:
-            flat = flat * m + c
-        images.append(flat)
+        images.append(point_index(target, m))
     try:
         return GridMap(n, m, tuple(images))
     except ValueError as err:

@@ -17,6 +17,8 @@ from math import gcd
 from .affine import AffineTorusAuto
 from .collineation import (
     DiscreteLine,
+    _generators,
+    _units,
     canonical_generator,
     enumerate_discrete_lines,
     index_point,
@@ -153,14 +155,9 @@ def _line_witness(f: GridMap, line: DiscreteLine) -> Witness | None:
 
 def verify_line_preserving(f: GridMap):
     """True when every discrete line maps onto a discrete line; otherwise
-    the deterministic first Witness in scan order (lines sorted by base,
-    then generator, so the lines through 0 come first)."""
-    lines = sorted(
-        enumerate_discrete_lines(f.n, f.m),
-        key=lambda line: (line.base, line.generator),
-    )
+    the first Witness, scanning lines by (base, generator) from 0 up."""
     broken = False
-    for line in lines:
+    for line in enumerate_discrete_lines(f.n, f.m):
         if _image_line(f, line) is None:
             broken = True
             witness = _line_witness(f, line)
@@ -180,10 +177,8 @@ def infer_affine(f: GridMap):
     verified at every grid point (`is_affine_perm`).
     """
     phi = is_affine_perm(f.n, f.m, f.images)
-    return phi if phi is not None else _extract_witness(f)
-
-
-def _extract_witness(f: GridMap) -> Witness:
+    if phi is not None:
+        return phi
     verdict = verify_line_preserving(f)
     if verdict is True:
         raise NonaffineCollineationError(
@@ -199,14 +194,6 @@ class PropertyReport:
     parallels_preserved: bool
     blocks_preserved: bool | None
     subtorus_cosets_preserved: bool | None
-
-
-def _parallels_preserved(f: GridMap) -> bool:
-    by_gen: dict[tuple[int, ...], set] = {}
-    for line in enumerate_discrete_lines(f.n, f.m):
-        image_gen = canonical_generator(_image_line(f, line), f.m)
-        by_gen.setdefault(line.generator, set()).add(image_gen)
-    return all(len(images) == 1 for images in by_gen.values())
 
 
 def _direction_normalizer(g: GridMap) -> tuple | None:
@@ -226,9 +213,8 @@ def _direction_normalizer(g: GridMap) -> tuple | None:
         if gen is None:
             return None
         image_gen[d] = canonical_generator(gen, m)
-    units = [u for u in range(1, m) if gcd(u, m) == 1]
     gh, gv = image_gen[(1, 0)], image_gen[(0, 1)]
-    for u1, u2 in product(units, repeat=2):
+    for u1, u2 in product(_units(m), repeat=2):
         col1 = tuple(u1 * x % m for x in gh)
         col2 = tuple(u2 * x % m for x in gv)
         if gcd(det((col1, col2)), m) != 1:
@@ -280,13 +266,7 @@ def _prime(m: int) -> bool:
 def _plane_cosets_mod_p(n: int, p: int):
     """All rank-(n-1) subgroup cosets of (Z/p)^n, each as a frozenset of
     points: solution sets of one nonzero linear functional."""
-    seen = set()
-    for normal in product(range(p), repeat=n):
-        if normal == (0,) * n or normal in seen:
-            continue
-        for u in range(2, p):
-            seen.add(tuple(u * x % p for x in normal))
-        seen.add(normal)
+    for normal in _generators(n, p):
         for c in range(p):
             yield frozenset(
                 pt
@@ -304,12 +284,17 @@ def _subtorus_cosets_preserved(f: GridMap) -> bool:
 
 
 def check_paper_properties(f: GridMap) -> PropertyReport:
-    """For a map that already passes verify_line_preserving: parallels map
-    to parallels; in 2D, blocks map to blocks; in higher dimension at prime
-    modulus, hyperplane subgroup cosets map to hyperplane cosets."""
-    if verify_line_preserving(f) is not True:
-        raise ValueError("map does not preserve lines")
-    parallels = _parallels_preserved(f)
+    """Parallels map to parallels; in 2D, blocks map to blocks; in higher
+    dimension at prime modulus, hyperplane subgroup cosets map to hyperplane
+    cosets.  Raises ValueError unless f maps every line onto a line."""
+    image_gen: dict[tuple[int, ...], tuple[int, ...]] = {}
+    parallels = True
+    for line in enumerate_discrete_lines(f.n, f.m):
+        gen = _image_line(f, line)
+        if gen is None:
+            raise ValueError("map does not preserve lines")
+        gen = canonical_generator(gen, f.m)
+        parallels &= image_gen.setdefault(line.generator, gen) == gen
     blocks = _blocks_preserved(f) if f.n == 2 else None
     subtori = (
         _subtorus_cosets_preserved(f) if f.n >= 3 and _prime(f.m) else None

@@ -14,6 +14,8 @@ from itertools import combinations, product
 from math import gcd, lcm
 from time import perf_counter
 
+import pytest
+
 from torusaffine.affine import AffineTorusAuto
 from torusaffine.cli import generate_map, main
 from torusaffine.collineation import DiscreteLine, affine_group_order
@@ -294,35 +296,36 @@ def test_perturbed_maps_yield_validating_witnesses(tmp_path):
     assert dt <= 60
 
 
-def test_large_perturbed_table_reconstructs_within_gate(tmp_path):
-    # a global incidence table at (2, 64) costs about 30 s and 2.5 GB, so
-    # this gate fails if reconstruct ever builds one again
-    m = 64
-    f = generate_map(2, m, seed=7, kind="perturbed")
-    path = tmp_path / "perturbed64.txt"
+@pytest.mark.parametrize("n,m", [(2, 64), (2, 256), (3, 24)])
+def test_large_perturbed_table_reconstructs_within_gate(tmp_path, n, m):
+    # a global incidence table at (2, 64) costs about 30 s and 2.5 GB, and
+    # materialising every line before the scan about 70 s at (2, 256), so
+    # this gate fails if reconstruct ever does either again
+    f = generate_map(n, m, seed=7, kind="perturbed")
+    path = tmp_path / f"perturbed{n}x{m}.txt"
     path.write_text(emit_torusmap(f), encoding="ascii")
     t0 = perf_counter()
     code, out = _run_cli(["reconstruct", str(path)])
     dt = perf_counter() - t0
     assert code == 1
     lines = out.splitlines()
-    assert lines[:2] == ["WITNESS", f"n=2 m={m}"]
+    assert lines[:2] == ["WITNESS", f"n={n} m={m}"]
     base = tuple(int(x) for x in lines[2].split()[1:])
     generator = tuple(int(x) for x in lines[3].split()[1:])
     line = {
         tuple((b + k * g) % m for b, g in zip(base, generator)) for k in range(m)
     }
-    points = [tuple(int(x) for x in row.split()[1:3]) for row in lines[4:7]]
+    points = [tuple(int(x) for x in row.split()[1 : n + 1]) for row in lines[4:7]]
     assert len(set(points)) == 3 and set(points) <= line
     # brute-force oracle: no subgroup <g> of order m holds both image
     # differences, so the images lie on no discrete line
     a, b, c = (f.image_of(p) for p in points)
     diffs = [tuple((y - x) % m for x, y in zip(a, q)) for q in (b, c)]
-    for g in product(range(m), repeat=2):
+    for g in product(range(m), repeat=n):
         if gcd(*g, m) == 1:
-            span = {(k * g[0] % m, k * g[1] % m) for k in range(m)}
+            span = {tuple(k * x % m for x in g) for k in range(m)}
             assert not all(d in span for d in diffs)
-    print(f"perturbed (2,{m}) witness in {dt:.1f}s <= 20s")
+    print(f"perturbed ({n},{m}) witness in {dt:.1f}s <= 20s")
     assert dt <= 20
 
 

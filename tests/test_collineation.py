@@ -6,10 +6,13 @@ every stabilizer permutation with a brute-force line-image test (see
 test_m4_stabilizer_is_genuine below, which repeats that audit).
 """
 
+import os
+from itertools import product
 from math import gcd
 
 import pytest
 
+from torusaffine import collineation
 from torusaffine.collineation import (
     BudgetExceededError,
     DiscreteLine,
@@ -32,9 +35,9 @@ from fractions import Fraction
 
 
 def test_line_counts():
-    assert len(enumerate_discrete_lines(2, 3)) == 12
-    assert len(enumerate_discrete_lines(2, 4)) == 24
-    assert len(enumerate_discrete_lines(2, 5)) == 30
+    assert len(list(enumerate_discrete_lines(2, 3))) == 12
+    assert len(list(enumerate_discrete_lines(2, 4))) == 24
+    assert len(list(enumerate_discrete_lines(2, 5))) == 30
 
 
 def test_modulus_and_dimension_guards():
@@ -64,13 +67,41 @@ def test_line_rejects_bad_generator():
 
 def test_lines_cover_and_have_m_points():
     for m in (3, 4, 5, 6):
-        lines = enumerate_discrete_lines(2, m)
+        lines = list(enumerate_discrete_lines(2, m))
         for line in lines:
             assert len(line.points) == m
         covered = set()
         for line in lines:
             covered.update(line.points)
         assert len(covered) == m * m
+
+
+@pytest.mark.parametrize(
+    "n,m",
+    [(2, m) for m in range(3, 17)]
+    + [(2, 27), (4, 3), (4, 4), (5, 3)]
+    + [(3, m) for m in range(3, 9)],
+)
+def test_line_walk_matches_coset_oracle(n, m):
+    # oracle: every coset p + <g> over all points p and all generators g
+    # with gcd(g, m) = 1, one subgroup <g> at a time
+    grid = list(product(range(m), repeat=n))
+    subgroups = {
+        frozenset(tuple(k * x % m for x in g) for k in range(m))
+        for g in grid
+        if gcd(*g, m) == 1
+    }
+    cosets = {
+        frozenset(tuple((a + b) % m for a, b in zip(p, h)) for h in sub)
+        for sub in subgroups
+        for p in grid
+    }
+    lines = list(enumerate_discrete_lines(n, m))
+    walked = [frozenset(line.points) for line in lines]
+    assert len(set(walked)) == len(walked)
+    assert set(walked) == cosets
+    keys = [(line.base, line.generator) for line in lines]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 @pytest.mark.parametrize(
@@ -130,7 +161,7 @@ def test_shared_point_counts():
     # grids share up to gcd(|det of lifts|, m) points
     expected_max = {3: 1, 4: 2, 5: 1, 6: 3}
     for m, want in expected_max.items():
-        lines = enumerate_discrete_lines(2, m)
+        lines = list(enumerate_discrete_lines(2, m))
         top = 0
         for i, a in enumerate(lines):
             for b in lines[i + 1 :]:
@@ -248,6 +279,31 @@ def test_group_generators_are_collineations_m3():
 def test_budget_is_enforced():
     with pytest.raises(BudgetExceededError):
         collineation_group(2, 5, budget=100)
+
+
+def test_workers_are_clamped_to_cpu_count(monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, size):
+            sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(t) for t in tasks]
+
+    class Context:
+        Pool = SerialPool
+
+    monkeypatch.setattr(collineation, "get_context", lambda method: Context)
+    got = collineation_group(2, 3, workers=10**6)
+    assert got.order == 432
+    assert all(size <= (os.cpu_count() or 1) for size in sizes)
 
 
 def test_search_requires_dimension_two():
