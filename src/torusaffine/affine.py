@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
+from operator import mul
 
 from .geometry import RatPoint, origin
 from .intmat import Matrix, adjugate, det, frac_matvec, identity as identity_matrix
@@ -30,6 +31,10 @@ class AffineTorusAuto:
     matrix: Matrix
     translation: RatPoint
     modulus: int | None = None
+    # The translation in integer residues mod m, read once for apply_residues.
+    _shift: tuple[int, ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         n = len(self.matrix)
@@ -52,6 +57,8 @@ class AffineTorusAuto:
             raise ValueError("determinant is not a unit for this modulus")
         if any(m % c.denominator for c in self.translation.coords):
             raise ValueError("translation is not a grid point for this modulus")
+        shift = tuple(c.numerator * (m // c.denominator) for c in self.translation.coords)
+        object.__setattr__(self, "_shift", shift)
 
     @property
     def dim(self) -> int:
@@ -70,10 +77,8 @@ class AffineTorusAuto:
         m = self.modulus
         if m is None:
             raise ValueError("residue application needs a modulus")
-        shift = [int(c * m) for c in self.translation.coords]
         return tuple(
-            (sum(a * xi for a, xi in zip(row, x)) + s) % m
-            for row, s in zip(self.matrix, shift)
+            (sum(map(mul, row, x)) + s) % m for row, s in zip(self.matrix, self._shift)
         )
 
     def inverse(self) -> AffineTorusAuto:

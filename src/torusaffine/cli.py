@@ -43,6 +43,10 @@ from .reconstruction import (
 from .svgfig import SceneError, render_scene
 
 BUDGET_ENV = "TORUS_AFFINE_BUDGET"
+# The most points a command lists or builds: the default oracle grid
+# denominator, the longest intersection `intersect` prints and the largest
+# grid `gen` emits.  Larger inputs are refused with exit 2.
+MAX_POINTS = 1_000_000
 
 
 class InputError(Exception):
@@ -106,6 +110,10 @@ def generate_map(n: int, m: int, seed: int, kind: str) -> GridMap:
         raise InputError("modulus too small")
     if n < 2:
         raise InputError("dimension must be at least 2")
+    # m >= 3, so n at or above the ceiling's bit length is already too big;
+    # checking that first keeps m**n small.
+    if n >= MAX_POINTS.bit_length() or m**n > MAX_POINTS:
+        raise InputError(f"grid m**n is larger than {MAX_POINTS} points")
     rng = random.Random(seed)
     size = m**n
     if kind == "random":
@@ -186,6 +194,10 @@ def _cmd_intersect(args) -> int:
     if result.count is None:
         _write_text(args.out, "count infinite\n")
         return 0
+    if result.count > MAX_POINTS:
+        raise InputError(
+            f"{result.count} intersection points, more than {MAX_POINTS} to list"
+        )
     lines = [f"count {result.count}"]
     if result.count:
         for p in intersection_points(l1, l2):
@@ -288,7 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
             cmd.add_argument(
                 "--max-denominator",
                 type=int,
-                default=1_000_000,
+                default=MAX_POINTS,
                 help="refuse oracle grids finer than this",
             )
         cmd.add_argument("--out", default=None)

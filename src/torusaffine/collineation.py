@@ -258,12 +258,7 @@ def is_affine_perm(n: int, m: int, images) -> AffineTorusAuto | None:
     except ValueError:
         return None
     for idx in range(size):
-        p = index_point(idx, n, m)
-        image = tuple(
-            (sum(a * x for a, x in zip(row, p)) + s) % m
-            for row, s in zip(matrix, shift)
-        )
-        if point_index(image, m) != images[idx]:
+        if point_index(phi.apply_residues(index_point(idx, n, m)), m) != images[idx]:
             return None
     return phi
 

@@ -8,7 +8,9 @@ is the rank-1 case: ``{[base + t * direction] : t in R}`` with a primitive
 integer direction.  Cosets are canonicalized on construction (Hermite basis,
 base moved to the canonical transversal slice), so two cosets are equal as
 sets exactly when they compare equal structurally.  Counting questions
-reduce to Smith normal forms of small integer matrices.
+reduce to Smith normal forms of small integer matrices.  Inside those
+computations a point is one common denominator and an integer vector
+(``intmat.scaled``), so each output coordinate builds one ``Fraction``.
 """
 
 from __future__ import annotations
@@ -18,10 +20,12 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 from math import lcm
+from operator import mul
 from typing import Sequence
 
-from .intmat import Matrix, det, from_columns, frac_matvec, inverse_unimodular
-from .lattice import LatticeBasis, basis_extension, primitive_part, snf_decomposition
+from .intmat import Matrix, det, from_columns, scaled as _scaled
+from .intmat import frac_matvec  # noqa: F401  (wrapped by name in bench/layers.py)
+from .lattice import LatticeBasis, basis_frames, primitive_part, snf_decomposition
 
 
 def _frac(x) -> Fraction:
@@ -30,7 +34,14 @@ def _frac(x) -> Fraction:
     return Fraction(x)
 
 
-@dataclass(frozen=True)
+def _reduced(x) -> Fraction:
+    """x mod 1 as a Fraction; a coordinate already in [0, 1) is kept, which
+    the integer test of its numerator finds without Fraction arithmetic."""
+    x = _frac(x)
+    return x if 0 <= x.numerator < x.denominator else x % 1
+
+
+@dataclass(frozen=True, slots=True)
 class RatPoint:
     """A point of T^n; coordinates are reduced into [0,1) on construction."""
 
@@ -38,7 +49,7 @@ class RatPoint:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "coords", tuple(_frac(c) % 1 for c in self.coords)
+            self, "coords", tuple(_reduced(c) for c in self.coords)
         )
 
     @property
@@ -59,19 +70,20 @@ def origin(n: int) -> RatPoint:
     return RatPoint((Fraction(0),) * n)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _frames(lattice: LatticeBasis) -> tuple[Matrix, Matrix]:
     """Deterministic unimodular completion of a saturated basis, with inverse.
 
     The first k columns of the returned matrix are the basis vectors; the
     inverse carries ambient points into split coordinates where the tangent
-    directions come first.
+    directions come first.  The cache is bounded: an entry is about 1 kB,
+    and a process that meets many distinct lattices would otherwise keep
+    every frame; the lattices a caller returns to stay cached.
     """
-    u = basis_extension(lattice)
-    return u, inverse_unimodular(u)
+    return basis_frames(lattice)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RationalSubtorus:
     """A coset of a closed connected subgroup with rational tangent.
 
@@ -90,9 +102,14 @@ class RationalSubtorus:
             raise ValueError("no direction")
         if self.base.dim != self.lattice.dim:
             raise ValueError("base dimension mismatch")
+        # In split coordinates the base keeps its transversal part and its
+        # tangent part is zeroed: base = U[:, k:] . (U^-1[k:] . base) mod 1,
+        # computed on the base scaled to integers over one denominator.
         u, u_inv = _frames(self.lattice)
-        split = (Fraction(0),) * k + frac_matvec(u_inv, self.base.coords)[k:]
-        object.__setattr__(self, "base", RatPoint(frac_matvec(u, split)))
+        den, nums = _scaled(self.base.coords)
+        split = [sum(map(mul, row, nums)) for row in u_inv[k:]]
+        base = tuple(Fraction(sum(map(mul, row[k:], split)) % den, den) for row in u)
+        object.__setattr__(self, "base", RatPoint(base))
 
     @property
     def dim(self) -> int:
@@ -115,6 +132,8 @@ class RationalLine(RationalSubtorus):
     Such a vector is its own Hermite basis and spans a saturated lattice, so
     no reduction is needed to build the canonical form.
     """
+
+    __slots__ = ()
 
     def __init__(self, base: RatPoint, direction: Sequence[int]):
         prim, _ = primitive_part(direction)
@@ -141,9 +160,11 @@ def contains_point(s: RationalSubtorus, p: RatPoint) -> bool:
     if p.dim != s.dim:
         raise ValueError("dimension mismatch")
     _, u_inv = _frames(s.lattice)
-    delta = tuple(a - b for a, b in zip(p.coords, s.base.coords))
-    split = frac_matvec(u_inv, delta)
-    return all(x.denominator == 1 for x in split[s.rank :])
+    # p - base is on the coset's lattice iff its transversal split
+    # coordinates are integers: U^-1[k:] . delta = 0 (mod den).
+    den, ints = _scaled(p.coords + s.base.coords)
+    delta = [a - b for a, b in zip(ints[: s.dim], ints[s.dim :])]
+    return all(sum(map(mul, row, delta)) % den == 0 for row in u_inv[s.rank :])
 
 
 def _congruence_solve(columns, target, want_solutions: bool = True):
@@ -154,16 +175,18 @@ def _congruence_solve(columns, target, want_solutions: bool = True):
     integer basis of the solutions of M x = 0, and scaled is (denom, sols)
     with the particular solutions x (one per residue class) given as
     integer tuples over the common denominator denom — or None when the
-    caller only needs the count.  The enumeration runs on scaled integers
-    because residue classes can be numerous.
+    caller only needs the count.  It runs on scaled integers: with
+    target = t / den and d = u M v, the system reads d y = u t / den
+    (mod Z^n) in y = v^-1 x.
     """
     n = len(target)
     mat = from_columns(columns)
     d, u, _, v, _ = snf_decomposition(mat)
     invariants = [d[i][i] for i in range(min(n, len(columns))) if d[i][i] != 0]
     r = len(invariants)
-    e = frac_matvec(u, target)
-    if any(e[i].denominator != 1 for i in range(r, n)):
+    den, t = _scaled(target)
+    e = [sum(map(mul, row, t)) for row in u]
+    if any(x % den for x in e[r:]):
         return None
     count = 1
     for q in invariants:
@@ -172,24 +195,34 @@ def _congruence_solve(columns, target, want_solutions: bool = True):
     kernel = [tuple(v[i][j] for i in range(width)) for j in range(r, width)]
     if not want_solutions:
         return count, None, kernel
-    denom = 1
-    for q, ei in zip(invariants, e):
-        denom = lcm(denom, ei.denominator * q)
-    bases = [
-        ei.numerator * (denom // (ei.denominator * q))
-        for q, ei in zip(invariants, e)
-    ]
+    # y_j = (e_j / den + w_j) / q_j for residues w_j in range(q_j).
+    denom = den * lcm(*invariants)
+    bases = [x * (denom // (den * q)) for q, x in zip(invariants, e)]
     steps = [denom // q for q in invariants]
-    cols_v = [[v[i][j] for i in range(width)] for j in range(r)]
     sols = []
     for residues in product(*(range(q) for q in invariants)):
         y = [b + w * s for b, w, s in zip(bases, residues, steps)]
-        sols.append(
-            tuple(
-                sum(cols_v[j][i] * y[j] for j in range(r)) for i in range(width)
-            )
-        )
+        # x = v . (y, 0): map stops at the r entries of y.
+        sols.append(tuple(sum(map(mul, row, y)) for row in v))
     return count, (denom, sols), kernel
+
+
+def _solution_points(base: RatPoint, vectors, denom: int, sols):
+    """The distinct points base + sum_j (x_j / denom) vectors[j] (mod 1),
+    one per solution x of :func:`_congruence_solve` (its first
+    len(vectors) entries), as (scale, set of integer tuples) over one common
+    denominator; tuple order is the order of the points' coordinates."""
+    den, nums = _scaled(base.coords)
+    scale = lcm(den, denom)
+    lift = scale // den
+    mult = scale // denom
+    # Each row of the vectors' matrix has len(vectors) entries, so map()
+    # reads only those leading entries of x.
+    rows = [(b * lift, row) for b, row in zip(nums, from_columns(vectors))]
+    return scale, {
+        tuple((b + mult * sum(map(mul, row, x))) % scale for b, row in rows)
+        for x in sols
+    }
 
 
 def are_parallel(l1: RationalLine, l2: RationalLine) -> bool:
@@ -197,7 +230,7 @@ def are_parallel(l1: RationalLine, l2: RationalLine) -> bool:
     return l1.direction == l2.direction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntersectionCount:
     """Cardinality of an intersection: a finite count or infinity."""
 
@@ -257,13 +290,10 @@ def intersection_points(l1: RationalLine, l2: RationalLine) -> tuple[RatPoint, .
     if solved is None:
         return ()
     _, (denom, sols), _ = solved
-    found = {
-        RatPoint(
-            tuple(b + Fraction(x[0] * c, denom) for b, c in zip(l1.base.coords, v1))
-        )
-        for x in sols
-    }
-    return tuple(sorted(found, key=lambda p: p.coords))
+    scale, found = _solution_points(l1.base, [v1], denom, sols)
+    return tuple(
+        RatPoint(tuple(Fraction(c, scale) for c in p)) for p in sorted(found)
+    )
 
 
 def line_hyperplane_count(line: RationalLine, axis: int) -> IntersectionCount:

@@ -1,13 +1,19 @@
 """Small exact integer-matrix helpers.
 
 Matrices are tuples (or lists) of rows of Python ints, so every operation
-here is arbitrary precision and exact.  Nothing in this module knows about
-tori; it is shared plumbing for the lattice and geometry layers.
+here is arbitrary precision and exact.  Rational vectors enter integer
+arithmetic through :func:`scaled`, which puts them over one common
+denominator; :func:`frac_matvec` multiplies that way, so it builds one
+``Fraction`` per output entry rather than one per product and sum.  Nothing
+in this module knows about tori; it is shared plumbing for the lattice and
+geometry layers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Sequence
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -100,9 +106,14 @@ def inverse_unimodular(mat: Sequence[Sequence[int]]) -> Matrix:
     return tuple(tuple(-x for x in row) for row in adj)
 
 
+def scaled(vec: Sequence) -> tuple[int, tuple[int, ...]]:
+    """A vector of Fractions (or ints) as (den, ints) with vec = ints / den,
+    where den is the least common denominator of the entries."""
+    den = lcm(*(x.denominator for x in vec))
+    return den, tuple(x.numerator * (den // x.denominator) for x in vec)
+
+
 def frac_matvec(mat: Sequence[Sequence[int]], vec: Sequence) -> tuple[Fraction, ...]:
     """Integer matrix times a vector of Fractions (or ints)."""
-    return tuple(
-        sum((Fraction(x) * Fraction(y) for x, y in zip(row, vec)), Fraction(0))
-        for row in mat
-    )
+    den, ints = scaled(vec)
+    return tuple(Fraction(sum(map(mul, row, ints)), den) for row in mat)

@@ -15,11 +15,12 @@ guard against; results are exact for any input size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import combinations
 from math import gcd
 from typing import Iterable, Sequence
 
-from .intmat import Matrix, from_columns, identity, matmul, matvec
+from .intmat import Matrix, det, from_columns, matmul, matvec
 
 IntVec = tuple[int, ...]
 
@@ -153,8 +154,20 @@ def hnf(vectors: Iterable[Sequence[int]]) -> LatticeBasis:
     basis = tuple(tuple(row) for row in reduced)
     if not basis:
         return LatticeBasis(vectors=(), saturated=True)
-    sat = all(d == 1 for d in smith_invariants(from_columns(basis)))
-    return LatticeBasis(vectors=basis, saturated=sat)
+    return LatticeBasis(vectors=basis, saturated=_minors_gcd(basis) == 1)
+
+
+def _minors_gcd(basis: Sequence[Sequence[int]]) -> int:
+    """The gcd of the k-by-k minors of k independent vectors, which is the
+    product of their Smith invariants: the entries' gcd at rank 1, |det|
+    at full rank.  Stops early once the gcd reaches 1."""
+    k = len(basis)
+    g = 0
+    for cols in combinations(range(len(basis[0])), k):
+        g = gcd(g, det([[v[c] for c in cols] for v in basis]))
+        if g == 1:
+            break
+    return g
 
 
 def is_unimodular(mat: Sequence[Sequence[int]]) -> bool:
@@ -163,9 +176,11 @@ def is_unimodular(mat: Sequence[Sequence[int]]) -> bool:
     Rows versus columns does not matter: the determinant is transpose
     invariant, so a tuple of basis vectors can be passed directly.
     """
-    from .intmat import det
-
     return det(mat) in (1, -1)
+
+
+def _eye(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def snf_decomposition(
@@ -181,10 +196,8 @@ def snf_decomposition(
     nrows = len(mat)
     ncols = len(mat[0]) if nrows else 0
     a = [list(int(x) for x in row) for row in mat]
-    u = [list(row) for row in identity(nrows)]
-    u_inv = [list(row) for row in identity(nrows)]
-    v = [list(row) for row in identity(ncols)]
-    v_inv = [list(row) for row in identity(ncols)]
+    u, u_inv = _eye(nrows), _eye(nrows)
+    v, v_inv = _eye(ncols), _eye(ncols)
 
     def row_swap(i: int, j: int) -> None:
         a[i], a[j] = a[j], a[i]
@@ -287,30 +300,37 @@ def smith_invariants(mat: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def basis_extension(basis: LatticeBasis) -> Matrix:
-    """Unimodular matrix whose first ``rank`` columns are the basis vectors.
+def basis_frames(basis: LatticeBasis) -> tuple[Matrix, Matrix]:
+    """A unimodular completion of a saturated basis, with its inverse.
 
-    Only saturated bases extend; for those the Smith invariants are all 1
-    and the construction always succeeds.  The completion is a fixed
-    deterministic function of the basis, which is what the canonical-form
-    machinery built on top of it needs.
+    The completion U has the basis vectors as its first ``rank`` columns;
+    only saturated bases extend, and for those the Smith invariants are all
+    1 and the construction always succeeds.  It is a fixed deterministic
+    function of the basis, which is what the canonical-form machinery built
+    on top of it needs.  Both matrices come from one Smith decomposition
+    d = u . B . v of the basis matrix B: B = u_inv . [v_inv ; 0], so
+    U = u_inv . W with W = diag(v_inv, I), and U^-1 = diag(v, I) . u.
     """
     if not basis.saturated:
         raise ValueError("saturated basis required")
     cols = basis.vectors
-    n, k = basis.dim, basis.rank
-    d, u, u_inv, v, v_inv = snf_decomposition(from_columns(cols))
+    k = basis.rank
+    if k == 0:
+        raise ValueError("rank-0 basis has no stored ambient dimension")
+    d, u, u_inv, v, _ = snf_decomposition(from_columns(cols))
     if any(d[i][i] != 1 for i in range(k)):
         raise ValueError("columns do not form a saturated basis")
-    # cols = u_inv . [v_inv ; 0], so pad v_inv to a block-diagonal square.
-    w = [
-        [
-            (v_inv[i][j] if i < k and j < k else (1 if i == j else 0))
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return matmul(u_inv, w)
+    # U's first k columns are u_inv[:, :k] . v_inv = B, the rest u_inv's;
+    # U^-1's first k rows are v . u[:k], the rest u's.
+    frame = from_columns(cols + tuple(zip(*u_inv))[k:])
+    inverse = matmul(v, u[:k]) + u[k:]
+    return frame, inverse
+
+
+def basis_extension(basis: LatticeBasis) -> Matrix:
+    """Unimodular matrix whose first ``rank`` columns are the basis vectors
+    (the completion of :func:`basis_frames`)."""
+    return basis_frames(basis)[0]
 
 
 def saturate(basis: LatticeBasis | Iterable[Sequence[int]]) -> LatticeBasis:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .affine import AffineTorusAuto
 from .geometry import (
@@ -20,6 +19,7 @@ from .geometry import (
     RationalSubtorus,
     _congruence_solve,
     _frames,
+    _solution_points,
     contains_point,
     origin,
 )
@@ -60,7 +60,7 @@ def line_subtorus_count(line: RationalLine, s: RationalSubtorus) -> Intersection
     return IntersectionCount.finite(solved[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ComponentDecomposition:
     """The pieces of a nonempty intersection of two subtorus cosets: how
     many parallel components there are, their common dimension, and the
@@ -87,20 +87,11 @@ def intersect_subtori(
     if solved is None:
         return None
     count, (denom, sols), kernel = solved
-    basis_matrix = s1.lattice.matrix()
-    scale = denom
-    for c in s1.base.coords:
-        scale = lcm(scale, c.denominator)
-    mult = scale // denom
-    base_scaled = [c.numerator * (scale // c.denominator) for c in s1.base.coords]
-    best = None
-    for x in sols:
-        shift = matvec(basis_matrix, x[:k1])
-        coords = tuple((b + t * mult) % scale for b, t in zip(base_scaled, shift))
-        if best is None or coords < best:
-            best = coords
+    scale, points = _solution_points(s1.base, s1.lattice.vectors, denom, sols)
+    best = min(points)
     anchor = RatPoint(tuple(Fraction(c, scale) for c in best))
 
+    basis_matrix = s1.lattice.matrix()
     kernel_images = [matvec(basis_matrix, coeffs[:k1]) for coeffs in kernel]
     if not kernel_images:
         return ComponentDecomposition(count, 0, anchor)

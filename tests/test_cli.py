@@ -99,6 +99,20 @@ def test_gen_rejects_small_modulus(capsys):
     assert "modulus too small" in err
 
 
+def test_gen_refuses_oversized_grid(capsys):
+    # 10^12 points: the random kind ran out of memory, the affine kind would
+    # loop 10^12 times; n = 10^8 must be refused without computing m**n.
+    for argv in (
+        ("--n", "4", "--m", "1000", "--kind", "random"),
+        ("--n", "4", "--m", "1000", "--kind", "affine"),
+        ("--n", "100000000", "--m", "3", "--kind", "perturbed"),
+        ("--n", "2", "--m", "1001"),
+    ):
+        code, out, err = run(capsys, "gen", *argv)
+        assert (code, out) == (2, "")
+        assert "larger than 1000000 points" in err
+
+
 def test_gen_kinds_differ():
     affine = generate_map(2, 5, seed=4, kind="affine")
     perturbed = generate_map(2, 5, seed=4, kind="perturbed")
@@ -246,6 +260,15 @@ def test_intersect_parallel_distinct(capsys):
 def test_intersect_same_line(capsys):
     code, out, err = run(capsys, "intersect", "--dir1", "1,1", "--dir2", "1,1")
     assert (code, out) == (0, "count infinite\n")
+
+
+def test_intersect_refuses_too_many_points(capsys):
+    # 10^10 points used to be listed until memory ran out; the ceiling is the
+    # oracle's default, so 1000001 points are one too many.
+    for dir1, dir2 in (("100000,1", "1,100000"), ("1,0", "1,1000001")):
+        code, out, err = run(capsys, "intersect", "--dir1", dir1, "--dir2", dir2)
+        assert (code, out) == (2, "")
+        assert "more than 1000000 to list" in err
 
 
 def test_intersect_parse_error(capsys):
