@@ -7,8 +7,8 @@ from math import gcd
 from operator import mul
 
 from .geometry import RatPoint, origin
-from .intmat import Matrix, adjugate, det, frac_matvec, identity as identity_matrix
-from .intmat import inverse_unimodular
+from .intmat import Matrix, det, frac_matvec, identity as identity_matrix
+from .lattice import matrix_inverse
 
 
 def balanced_residue(x: int, m: int) -> int:
@@ -82,13 +82,7 @@ class AffineTorusAuto:
         )
 
     def inverse(self) -> AffineTorusAuto:
-        if self.modulus is None:
-            inv = inverse_unimodular(self.matrix)
-        else:
-            d_inv = pow(det(self.matrix), -1, self.modulus)
-            inv = tuple(
-                tuple(a * d_inv for a in row) for row in adjugate(self.matrix)
-            )
+        inv = matrix_inverse(self.matrix, self.modulus)
         shift = frac_matvec(inv, self.translation.coords)
         back = RatPoint(tuple(-x for x in shift))
         return AffineTorusAuto(inv, back, self.modulus)

@@ -27,6 +27,7 @@ from .affine import AffineTorusAuto, balanced_residue
 from .collineation import BudgetExceededError, collineation_group
 from .fileformat import TorusMapFormatError, emit_torusmap, parse_torusmap
 from .geometry import (
+    MAX_POINTS,
     RatPoint,
     grid_oracle_count,
     intersection_count_2d,
@@ -43,10 +44,6 @@ from .reconstruction import (
 from .svgfig import SceneError, render_scene
 
 BUDGET_ENV = "TORUS_AFFINE_BUDGET"
-# The most points a command lists or builds: the default oracle grid
-# denominator, the longest intersection `intersect` prints and the largest
-# grid `gen` emits.  Larger inputs are refused with exit 2.
-MAX_POINTS = 1_000_000
 
 
 class InputError(Exception):

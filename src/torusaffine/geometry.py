@@ -27,6 +27,12 @@ from .intmat import Matrix, det, from_columns, scaled as _scaled
 from .intmat import frac_matvec  # noqa: F401  (wrapped by name in bench/layers.py)
 from .lattice import LatticeBasis, basis_frames, primitive_part, snf_decomposition
 
+# The most points a command lists or builds: the default oracle grid
+# denominator, the longest intersection `intersect` prints, the largest grid
+# `gen` emits and the most strokes `svg` draws for one line.  Larger inputs
+# are refused with exit 2.
+MAX_POINTS = 1_000_000
+
 
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
@@ -181,7 +187,7 @@ def _congruence_solve(columns, target, want_solutions: bool = True):
     """
     n = len(target)
     mat = from_columns(columns)
-    d, u, _, v, _ = snf_decomposition(mat)
+    d, u, v = snf_decomposition(mat)
     invariants = [d[i][i] for i in range(min(n, len(columns))) if d[i][i] != 0]
     r = len(invariants)
     den, t = _scaled(target)
@@ -359,15 +365,6 @@ def grid_oracle_count(
             f"oracle grid denominator {m} exceeds bound {max_denominator}"
         )
     return len(set(line_grid_points(l1, m)) & set(line_grid_points(l2, m)))
-
-
-def reflect_x(line: RationalLine) -> RationalLine:
-    """Image of a T^2 line under the reflection (x, y) -> (x, -y)."""
-    if line.dim != 2:
-        raise ValueError("T^2 line required")
-    bx, by = line.base.coords
-    p, q = line.direction
-    return line_through(RatPoint((bx, -by)), (p, -q))
 
 
 def _slope_match(a: RatPoint, b: RatPoint, sign: int) -> bool:

@@ -23,10 +23,6 @@ def identity(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def transpose(mat: Sequence[Sequence[int]]) -> Matrix:
-    return tuple(zip(*[tuple(row) for row in mat]))
-
-
 def matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
     bt = list(zip(*b))
     return tuple(
@@ -36,11 +32,6 @@ def matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
 
 def matvec(mat: Sequence[Sequence[int]], vec: Sequence) -> tuple:
     return tuple(sum(x * y for x, y in zip(row, vec)) for row in mat)
-
-
-def columns(mat: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    """The columns of a row-major matrix, as vectors."""
-    return tuple(zip(*[tuple(row) for row in mat]))
 
 
 def from_columns(cols: Sequence[Sequence[int]]) -> Matrix:
@@ -74,36 +65,6 @@ def det(mat: Sequence[Sequence[int]]) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
-
-
-def _minor(mat: Sequence[Sequence[int]], i: int, j: int) -> list[list[int]]:
-    return [
-        [x for c, x in enumerate(row) if c != j]
-        for r, row in enumerate(mat)
-        if r != i
-    ]
-
-
-def adjugate(mat: Sequence[Sequence[int]]) -> Matrix:
-    n = len(mat)
-    if n == 1:
-        return ((1,),)
-    cof = [
-        [(-1) ** (i + j) * det(_minor(mat, i, j)) for j in range(n)]
-        for i in range(n)
-    ]
-    return transpose(cof)
-
-
-def inverse_unimodular(mat: Sequence[Sequence[int]]) -> Matrix:
-    """Exact integer inverse of a matrix with determinant +-1."""
-    d = det(mat)
-    if d not in (1, -1):
-        raise ValueError("matrix is not unimodular")
-    adj = adjugate(mat)
-    if d == 1:
-        return adj
-    return tuple(tuple(-x for x in row) for row in adj)
 
 
 def scaled(vec: Sequence) -> tuple[int, tuple[int, ...]]:

@@ -20,7 +20,7 @@ from itertools import combinations
 from math import gcd
 from typing import Iterable, Sequence
 
-from .intmat import Matrix, det, from_columns, matmul, matvec
+from .intmat import Matrix, det, from_columns, matmul
 
 IntVec = tuple[int, ...]
 
@@ -185,54 +185,19 @@ def _eye(n: int) -> list[list[int]]:
 
 def snf_decomposition(
     mat: Sequence[Sequence[int]],
-) -> tuple[Matrix, Matrix, Matrix, Matrix, Matrix]:
+) -> tuple[Matrix, Matrix, Matrix]:
     """Smith decomposition with transforms.
 
-    Returns (d, u, u_inv, v, v_inv) where d = u * mat * v is diagonal with
-    a positive divisor chain, u and v are unimodular, and u_inv, v_inv are
-    their exact integer inverses.  The pivot strategy is fixed so the
-    decomposition is deterministic.
+    Returns (d, u, v) where d = u * mat * v is diagonal with a positive
+    divisor chain and u, v are unimodular.  The pivot strategy is fixed so
+    the decomposition is deterministic.
     """
     nrows = len(mat)
     ncols = len(mat[0]) if nrows else 0
     a = [list(int(x) for x in row) for row in mat]
-    u, u_inv = _eye(nrows), _eye(nrows)
-    v, v_inv = _eye(ncols), _eye(ncols)
-
-    def row_swap(i: int, j: int) -> None:
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-        for r in range(nrows):
-            u_inv[r][i], u_inv[r][j] = u_inv[r][j], u_inv[r][i]
-
-    def row_addmul(i: int, j: int, q: int) -> None:
-        # row i += q * row j
-        a[i] = [x + q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x + q * y for x, y in zip(u[i], u[j])]
-        for r in range(nrows):
-            u_inv[r][j] -= q * u_inv[r][i]
-
-    def row_negate(i: int) -> None:
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-        for r in range(nrows):
-            u_inv[r][i] = -u_inv[r][i]
-
-    def col_swap(i: int, j: int) -> None:
-        for r in range(nrows):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        for r in range(ncols):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
-        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
-
-    def col_addmul(i: int, j: int, q: int) -> None:
-        # column i += q * column j
-        for r in range(nrows):
-            a[r][i] += q * a[r][j]
-        for r in range(ncols):
-            v[r][i] += q * v[r][j]
-        v_inv[j] = [x - q * y for x, y in zip(v_inv[j], v_inv[i])]
-
+    u = _eye(nrows)
+    v = _eye(ncols)
+    # Row operations act on a and u, column operations on a and v.
     t = 0
     while t < min(nrows, ncols):
         # deterministic pivot: least |value|, ties broken by position
@@ -244,25 +209,32 @@ def snf_decomposition(
                     best = (i, j)
         if best is None:
             break
-        if best[0] != t:
-            row_swap(t, best[0])
-        if best[1] != t:
-            col_swap(t, best[1])
+        i, j = best
+        if i != t:
+            a[t], a[i] = a[i], a[t]
+            u[t], u[i] = u[i], u[t]
+        if j != t:
+            for row in (*a, *v):
+                row[t], row[j] = row[j], row[t]
         while True:
             stable = True
             for i in range(t + 1, nrows):
                 if a[i][t]:
                     q = a[i][t] // a[t][t]
-                    row_addmul(i, t, -q)
+                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+                    u[i] = [x - q * y for x, y in zip(u[i], u[t])]
                     if a[i][t]:
-                        row_swap(t, i)
+                        a[t], a[i] = a[i], a[t]
+                        u[t], u[i] = u[i], u[t]
                         stable = False
             for j in range(t + 1, ncols):
                 if a[t][j]:
                     q = a[t][j] // a[t][t]
-                    col_addmul(j, t, -q)
+                    for row in (*a, *v):
+                        row[j] -= q * row[t]
                     if a[t][j]:
-                        col_swap(t, j)
+                        for row in (*a, *v):
+                            row[t], row[j] = row[j], row[t]
                         stable = False
             if stable and all(a[i][t] == 0 for i in range(t + 1, nrows)) and all(
                 a[t][j] == 0 for j in range(t + 1, ncols)
@@ -278,13 +250,15 @@ def snf_decomposition(
                         break
                 if offender is None:
                     break
-                row_addmul(t, offender, 1)
+                a[t] = [x + y for x, y in zip(a[t], a[offender])]
+                u[t] = [x + y for x, y in zip(u[t], u[offender])]
         if a[t][t] < 0:
-            row_negate(t)
+            a[t] = [-x for x in a[t]]
+            u[t] = [-x for x in u[t]]
         t += 1
 
     freeze = lambda m_: tuple(tuple(row) for row in m_)
-    return freeze(a), freeze(u), freeze(u_inv), freeze(v), freeze(v_inv)
+    return freeze(a), freeze(u), freeze(v)
 
 
 def smith_invariants(mat: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -300,6 +274,36 @@ def smith_invariants(mat: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def matrix_inverse(
+    mat: Sequence[Sequence[int]], modulus: int | None = None
+) -> Matrix:
+    """Exact inverse of a square integer matrix: over Z when ``modulus`` is
+    None, else mod ``modulus`` with entries in [0, modulus).
+
+    The row Hermite form of [A | I] is [H | T] with T . A = H.  A unimodular
+    A has H = I, so T is its inverse; otherwise ValueError.  Mod m, H is
+    upper triangular with pivots whose product is |det A|, and H . X = T is
+    solved from the bottom row up; ValueError when a pivot, and so the
+    determinant, is not a unit mod m.
+    """
+    n = len(mat)
+    rows = _row_hnf([list(row) + eye for row, eye in zip(mat, _eye(n))])
+    h = [row[:n] for row in rows]
+    t = [row[n:] for row in rows]
+    if modulus is None:
+        if h != _eye(n):
+            raise ValueError("matrix is not unimodular")
+        return tuple(tuple(row) for row in t)
+    x: list[list[int]] = [[] for _ in range(n)]
+    for i in reversed(range(n)):
+        row = t[i]
+        for j in range(i + 1, n):
+            row = [a - h[i][j] * b for a, b in zip(row, x[j])]
+        unit = pow(h[i][i], -1, modulus)
+        x[i] = [a * unit % modulus for a in row]
+    return tuple(tuple(row) for row in x)
+
+
 def basis_frames(basis: LatticeBasis) -> tuple[Matrix, Matrix]:
     """A unimodular completion of a saturated basis, with its inverse.
 
@@ -307,30 +311,21 @@ def basis_frames(basis: LatticeBasis) -> tuple[Matrix, Matrix]:
     only saturated bases extend, and for those the Smith invariants are all
     1 and the construction always succeeds.  It is a fixed deterministic
     function of the basis, which is what the canonical-form machinery built
-    on top of it needs.  Both matrices come from one Smith decomposition
-    d = u . B . v of the basis matrix B: B = u_inv . [v_inv ; 0], so
-    U = u_inv . W with W = diag(v_inv, I), and U^-1 = diag(v, I) . u.
+    on top of it needs.  U^-1 comes from one Smith decomposition
+    d = u . B . v of the basis matrix B: d = [I ; 0], so
+    U^-1 = diag(v, I) . u = [v . u[:k] ; u[k:]] sends B to [I ; 0]; U is its
+    exact inverse (:func:`matrix_inverse`).
     """
     if not basis.saturated:
         raise ValueError("saturated basis required")
-    cols = basis.vectors
     k = basis.rank
     if k == 0:
         raise ValueError("rank-0 basis has no stored ambient dimension")
-    d, u, u_inv, v, _ = snf_decomposition(from_columns(cols))
+    d, u, v = snf_decomposition(from_columns(basis.vectors))
     if any(d[i][i] != 1 for i in range(k)):
         raise ValueError("columns do not form a saturated basis")
-    # U's first k columns are u_inv[:, :k] . v_inv = B, the rest u_inv's;
-    # U^-1's first k rows are v . u[:k], the rest u's.
-    frame = from_columns(cols + tuple(zip(*u_inv))[k:])
     inverse = matmul(v, u[:k]) + u[k:]
-    return frame, inverse
-
-
-def basis_extension(basis: LatticeBasis) -> Matrix:
-    """Unimodular matrix whose first ``rank`` columns are the basis vectors
-    (the completion of :func:`basis_frames`)."""
-    return basis_frames(basis)[0]
+    return matrix_inverse(inverse), inverse
 
 
 def saturate(basis: LatticeBasis | Iterable[Sequence[int]]) -> LatticeBasis:
@@ -346,37 +341,15 @@ def saturate(basis: LatticeBasis | Iterable[Sequence[int]]) -> LatticeBasis:
         vecs = reduced.vectors
     if not vecs:
         return LatticeBasis(vectors=(), saturated=True)
-    n = len(vecs[0])
     k = len(vecs)
-    d, u, u_inv, v, v_inv = snf_decomposition(from_columns(vecs))
-    r = sum(1 for i in range(min(n, k)) if d[i][i] != 0)
-    if r != k:
+    mat = from_columns(vecs)
+    d, _, v = snf_decomposition(mat)
+    if sum(1 for i in range(min(len(mat), k)) if d[i][i] != 0) != k:
         raise ValueError("basis vectors are dependent")
-    sat_vecs = [tuple(u_inv[i][j] for i in range(n)) for j in range(r)]
-    out = hnf(sat_vecs)
+    # d = u . B . v gives B . v = u^-1 . d, so column j of B . v over d_j is
+    # column j of the unimodular u^-1; the first k of them span the
+    # saturation.
+    bv = matmul(mat, v)
+    out = hnf([tuple(row[j] // d[j][j] for row in bv) for j in range(k)])
     assert out.saturated
     return out
-
-
-def coordinates_in(basis: LatticeBasis, v: Sequence[int]) -> IntVec | None:
-    """Integer coordinates of v in the given basis, or None if v is not in
-    the lattice."""
-    vecs = basis.vectors
-    if not vecs:
-        return () if all(x == 0 for x in v) else None
-    n = len(vecs[0])
-    k = len(vecs)
-    d, u, u_inv, vv, v_inv = snf_decomposition(from_columns(vecs))
-    y = matvec(u, tuple(int(x) for x in v))
-    z = []
-    for i in range(k):
-        di = d[i][i]
-        if di == 0:
-            return None
-        if y[i] % di != 0:
-            return None
-        z.append(y[i] // di)
-    for i in range(k, n):
-        if y[i] != 0:
-            return None
-    return matvec(vv, tuple(z))

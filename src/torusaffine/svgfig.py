@@ -18,6 +18,7 @@ import re
 from fractions import Fraction
 from math import floor
 
+from .geometry import MAX_POINTS
 from .lattice import primitive_part
 
 _STYLE_VALUE = re.compile(r"[-#A-Za-z0-9. ,]*\Z")
@@ -119,6 +120,11 @@ def _line_elements(entry: dict) -> list[str]:
     ):
         raise SceneError("line direction must be a nonzero integer pair")
     direction = primitive_part(tuple(direction))[0]
+    # A closed line of direction (p, q) is at most |p| + |q| strokes.
+    if abs(direction[0]) + abs(direction[1]) > MAX_POINTS:
+        raise SceneError(
+            f"line direction {direction} needs more than {MAX_POINTS} strokes"
+        )
     base = _pair(entry.get("base", ("0", "0")), "line base")
     stroke = _style(entry, "stroke", DEFAULT_STROKE)
     width = _style(entry, "width", "0.008")

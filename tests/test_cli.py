@@ -3,6 +3,7 @@
 import io
 import json
 from fractions import Fraction
+from time import perf_counter
 
 import pytest
 
@@ -399,3 +400,20 @@ def test_svg_invalid_scene(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert run(capsys, "svg", str(path))[0] == 2
+
+
+def test_svg_refuses_steep_line(tmp_path, capsys):
+    # A line of direction (p, q) is |p| + |q| strokes; above MAX_POINTS
+    # (10**6) the scene is refused before any stroke is built.  The first
+    # used to hang; (2000000, 2) reduces to (1000000, 1), one over.
+    def scene(direction):
+        return write_scene(tmp_path, {"lines": [{"direction": direction}]})
+
+    for direction in ([100000000, 1], [1, -1000000], [2000000, 2]):
+        t0 = perf_counter()
+        code, out, err = run(capsys, "svg", scene(direction))
+        assert perf_counter() - t0 < 1.0
+        assert code == 2 and out == ""
+        assert "more than 1000000 strokes" in err
+    code, out, _ = run(capsys, "svg", scene([2000000, 2000000]))
+    assert code == 0 and out.count("<line") == 1

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torusaffine.affine import AffineTorusAuto
 from torusaffine.geometry import (
     IntersectionCount,
     RatPoint,
@@ -26,8 +27,8 @@ from torusaffine.geometry import (
     line_through,
     origin,
     point,
-    reflect_x,
 )
+from torusaffine.intmat import matvec
 
 
 def loop_points(line, m):
@@ -287,6 +288,15 @@ def test_line_grid_points_matches_loop_oracle(base, d, m):
 
 
 # -------------------------------------------------------- reflection
+
+REFLECT_X = AffineTorusAuto(((1, 0), (0, -1)), origin(2))
+
+
+def reflect_x(line):
+    """Image of a T^2 line under the reflection (x, y) -> (x, -y)."""
+    return line_through(
+        REFLECT_X.apply(line.base), matvec(REFLECT_X.matrix, line.direction)
+    )
 
 
 def test_reflect_x_example():

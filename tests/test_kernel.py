@@ -3,15 +3,21 @@
 Each reference below is written here, with one Fraction per product and
 sum, and checks one piece of the kernel over T^2 - T^4: the rational
 mat-vec, the canonical base of a coset, point membership, the saturation
-flag of a Hermite basis and the cached frames of a saturated lattice.
+flag of a Hermite basis, the cached frames of a saturated lattice and the
+exact and mod-m matrix inverse.
 """
 
 import pickle
 from fractions import Fraction
+from itertools import product
+from math import gcd
+from time import perf_counter
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from torusaffine.affine import AffineTorusAuto
 from torusaffine.geometry import (
     IntersectionCount,
     RatPoint,
@@ -20,14 +26,14 @@ from torusaffine.geometry import (
     contains_point,
     line_through,
 )
-from torusaffine.intmat import (
-    frac_matvec,
-    from_columns,
-    identity,
-    inverse_unimodular,
-    matmul,
+from torusaffine.intmat import det, frac_matvec, from_columns, identity, matmul
+from torusaffine.lattice import (
+    hnf,
+    matrix_inverse,
+    saturate,
+    smith_invariants,
+    snf_decomposition,
 )
-from torusaffine.lattice import basis_extension, hnf, saturate, smith_invariants, snf_decomposition
 from torusaffine.subtorus import ComponentDecomposition, intersect_subtori, subtorus_span
 
 
@@ -38,17 +44,35 @@ def ref_matvec(mat, vec):
     )
 
 
+def ref_inverse(mat):
+    """Exact inverse of a unimodular matrix by Fraction Gauss-Jordan
+    elimination of [A | I]."""
+    n = len(mat)
+    rows = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+            for i, row in enumerate(mat)]
+    for c in range(n):
+        pivot = next(i for i in range(c, n) if rows[i][c] != 0)
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for i, row in enumerate(rows):
+            if i != c and row[c] != 0:
+                rows[i] = [x - row[c] * y for x, y in zip(row, rows[c])]
+    assert all(x.denominator == 1 for row in rows for x in row[n:])
+    return tuple(tuple(int(x) for x in row[n:]) for row in rows)
+
+
 def ref_completion(basis):
-    """The completion and its inverse as first built: u_inv . diag(v_inv, I)
-    from the Smith decomposition, inverted by the adjugate."""
+    """The completion and its inverse as first built: u^-1 . diag(v^-1, I)
+    from the Smith decomposition d = u . B . v, inverted by Gauss-Jordan."""
     n, k = basis.dim, basis.rank
-    _, _, u_inv, _, v_inv = snf_decomposition(from_columns(basis.vectors))
+    _, u, v = snf_decomposition(from_columns(basis.vectors))
+    v_inv = ref_inverse(v)
     w = [
         [v_inv[i][j] if i < k and j < k else int(i == j) for j in range(n)]
         for i in range(n)
     ]
-    u = matmul(u_inv, w)
-    return u, inverse_unimodular(u)
+    frame = matmul(ref_inverse(u), w)
+    return frame, ref_inverse(frame)
 
 
 dims = st.integers(2, 4)
@@ -154,8 +178,99 @@ def test_frames_invert_and_extend_the_basis(data):
     lattice = data.draw(lattices(data.draw(dims)))
     u, u_inv = _frames(lattice)
     assert matmul(u, u_inv) == identity(lattice.dim)
-    assert u == basis_extension(lattice)
+    assert from_columns(lattice.vectors) == tuple(row[: lattice.rank] for row in u)
     assert (u, u_inv) == ref_completion(lattice)
+
+
+def test_frames_of_a_dense_line_in_t4():
+    # U^-1 of this line has entries near 10^7; a Smith decomposition of it
+    # does not finish, so the frames must not invert through one.
+    lattice = hnf([(4368, -204, -1660, 1165)])
+    t0 = perf_counter()
+    u, u_inv = _frames(lattice)
+    assert perf_counter() - t0 < 2.0
+    assert matmul(u, u_inv) == identity(4)
+    assert tuple(row[0] for row in u) == lattice.vectors[0]
+
+
+@st.composite
+def unimodular_matrices(draw, n):
+    """A product of elementary row operations on the identity."""
+    a = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 3 * n))):
+        i, j = draw(st.permutations(range(n)))[:2]
+        q = draw(st.integers(-4, 4))
+        a[i] = [x + q * y for x, y in zip(a[i], a[j])]
+        if draw(st.booleans()):
+            a[i] = [-x for x in a[i]]
+    return tuple(map(tuple, a))
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_matrix_inverse_integral(data):
+    n = data.draw(dims)
+    a = data.draw(unimodular_matrices(n))
+    inv = matrix_inverse(a)
+    assert matmul(a, inv) == identity(n)
+    assert inv == ref_inverse(a)
+    phi = AffineTorusAuto(a, data.draw(points(n)))
+    p = data.draw(points(n))
+    assert phi.inverse().apply(phi.apply(p)) == p
+
+
+def mod_identity(a, inv, m):
+    return tuple(tuple(x % m for x in row) for row in matmul(a, inv)) == identity(len(a))
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_matrix_inverse_mod_m(data):
+    n = data.draw(dims)
+    m = data.draw(st.integers(3, 16))
+    a = tuple(
+        tuple(data.draw(st.integers(-m, m)) for _ in range(n)) for _ in range(n)
+    )
+    assume(gcd(det(a), m) == 1)
+    inv = matrix_inverse(a, m)
+    assert mod_identity(a, inv, m)
+    assert all(0 <= x < m for row in inv for x in row)
+
+
+def test_matrix_inverse_refuses_what_has_no_inverse():
+    for bad in (((2, 0), (0, 1)), ((1, 2), (2, 4))):
+        with pytest.raises(ValueError):
+            matrix_inverse(bad)
+    with pytest.raises(ValueError):
+        matrix_inverse(((2, 1), (0, 3)), 6)
+    with pytest.raises(ValueError):
+        matrix_inverse(((1, 2), (2, 4)), 5)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_affine_inverse_round_trips_every_grid_point(data):
+    n = data.draw(st.integers(2, 3))
+    m = data.draw(st.integers(3, 16))
+    a = tuple(
+        tuple(data.draw(st.integers(0, m - 1)) for _ in range(n)) for _ in range(n)
+    )
+    assume(gcd(det(a), m) == 1)
+    shift = RatPoint(tuple(Fraction(data.draw(st.integers(0, m - 1)), m) for _ in range(n)))
+    phi = AffineTorusAuto(a, shift, m)
+    inv = phi.inverse()
+    for x in product(range(m), repeat=n):
+        assert inv.apply_residues(phi.apply_residues(x)) == x
+
+
+def test_inverse_mod_6_without_a_unit_in_the_first_column():
+    a = ((2, 3), (3, 2))
+    inv = matrix_inverse(a, 6)
+    assert mod_identity(a, inv, 6)
+    phi = AffineTorusAuto(a, RatPoint((Fraction(1, 6), Fraction(1, 2))), 6)
+    back = phi.inverse()
+    for x in product(range(6), repeat=2):
+        assert back.apply_residues(phi.apply_residues(x)) == x
 
 
 def test_value_classes_are_slotted_and_pickle_unchanged():
