@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
-from math import gcd
+from math import gcd, prod
 from multiprocessing import get_context
 
 from .affine import AffineTorusAuto
@@ -60,17 +60,20 @@ def canonical_generator(gen: tuple[int, ...], m: int) -> tuple[int, ...]:
 def primitive_lift(gen: tuple[int, ...], m: int) -> tuple[int, ...]:
     """A primitive integer vector congruent to gen mod m.
 
-    Exists whenever gcd(gen, m) = 1; found by a small deterministic search
-    over per-coordinate shifts by multiples of m.
+    Exists whenever gcd(gen, m) = 1 and, in dimension 1, gen = +-1 mod m.
+    gen[1] shifts by t*m, t the product of the primes of a = gen[0] (or m
+    for 0) that miss some later entry; the other primes of a divide every
+    later entry, so they are prime to m and to t and miss gen[1] + t*m.
     """
     if gcd(*gen, m) != 1:
         raise ValueError("generator shares a factor with the modulus")
-    for radius in range(1, 4):
-        for shift in iproduct(range(radius), repeat=len(gen)):
-            cand = tuple(g + s * m for g, s in zip(gen, shift))
-            if gcd(*cand) == 1:
-                return cand
-    raise AssertionError("no primitive lift found in search window")
+    if len(gen) == 1:
+        if (gen[0] - 1) % m and (gen[0] + 1) % m:
+            raise ValueError("a one-dimensional lift must be +-1 mod m")
+        return (1,) if (gen[0] - 1) % m == 0 else (-1,)
+    a = gen[0] or m
+    t = prod(p for p, _ in _factorize(abs(a)) if any(x % p for x in gen[1:]))
+    return (a, gen[1] + t * m, *gen[2:])
 
 
 @dataclass(frozen=True)
@@ -286,74 +289,67 @@ def _iter_bits(mask: int):
 def _search(inc: IncidenceStructure, first: int, budget: int):
     """Backtracking count of collineations fixing 0 whose image of e1 is
     pinned to `first`.  Returns (stabilizer permutations, nodes) or raises
-    BudgetExceededError."""
-    m = inc.m
+    BudgetExceededError.  A line's only state is the bitmask of its images;
+    `assign` needs no check, because candidates lie on a line holding every
+    image of each line through the point, and any two distinct points share
+    a line."""
     size = inc.size
     through = inc.through
     masks = inc.masks
     pair_lines = inc.pair_lines
+    members = [tuple(_iter_bits(mask)) for mask in masks]
     full = (1 << size) - 1
 
-    img = [-1] * size
-    img[0] = 0
+    img = [0] * size  # filled in as points are assigned; 0 maps to 0
     used = 1
-    line_lists = [[] for _ in inc.lines]
-    line_imgs = [0] * len(inc.lines)
-    for li in through[0]:
-        line_lists[li].append(0)
-        line_imgs[li] |= 1
-    e1 = point_index((1, 0), m)
-    e2 = point_index((0, 1), m)
-    e12 = point_index((1, 1), m)
+    line_imgs = [mask & 1 for mask in masks]  # 0 is its own image
+    # score[q] counts the lines through q (fewer than size) that hold two or
+    # more images, less size once q is assigned: the first highest is next
+    score = [-size] + [0] * (size - 1)
+    e1, e2, e12 = (point_index(p, inc.m) for p in ((1, 0), (0, 1), (1, 1)))
 
     perms = []
     nodes = 0
 
-    def assign(p: int, v: int) -> bool:
+    def assign(p: int, v: int):
         nonlocal nodes, used
         nodes += 1
         if nodes > budget:
             raise BudgetExceededError(nodes)
         img[p] = v
-        used |= 1 << v
+        score[p] -= size
         bit = 1 << v
+        used |= bit
         for li in through[p]:
-            line_lists[li].append(v)
-            line_imgs[li] |= bit
-        for li in through[p]:
-            lst = line_lists[li]
-            if len(lst) < 2:
-                continue
-            a, b = lst[0], lst[1]
-            key = (a, b) if a < b else (b, a)
             got = line_imgs[li]
-            for ci in pair_lines.get(key, ()):
-                if got & ~masks[ci] == 0:
-                    break
-            else:
-                return False
-        return True
+            if got and not got & (got - 1):
+                for q in members[li]:
+                    score[q] += 1
+            line_imgs[li] = got | bit
 
     def undo(p: int, v: int):
         nonlocal used
-        img[p] = -1
-        used &= ~(1 << v)
-        bit = ~(1 << v)
+        score[p] += size
+        bit = 1 << v
+        used ^= bit
         for li in through[p]:
-            line_lists[li].pop()
-            line_imgs[li] &= bit
+            got = line_imgs[li] ^ bit
+            line_imgs[li] = got
+            if got and not got & (got - 1):
+                for q in members[li]:
+                    score[q] -= 1
 
     def candidates(p: int) -> int:
         allowed = full
         for li in through[p]:
-            lst = line_lists[li]
-            if len(lst) < 2:
-                continue
-            a, b = lst[0], lst[1]
-            key = (a, b) if a < b else (b, a)
             got = line_imgs[li]
+            rest = got & (got - 1)
+            if not rest:
+                continue
+            # every line holding all of got passes through its two lowest
+            key = ((got & -got).bit_length() - 1, (rest & -rest).bit_length() - 1)
             union = 0
-            for ci in pair_lines.get(key, ()):
+            for ci in pair_lines[key]:
                 cm = masks[ci]
                 if got & ~cm == 0:
                     union |= cm
@@ -367,18 +363,7 @@ def _search(inc: IncidenceStructure, first: int, budget: int):
             return e2
         if depth == 3:
             return e12
-        best = -1
-        best_score = -1
-        for q in range(size):
-            if img[q] >= 0:
-                continue
-            score = 0
-            for li in through[q]:
-                if len(line_lists[li]) >= 2:
-                    score += 1
-            if score > best_score:
-                best, best_score = q, score
-        return best
+        return score.index(max(score))
 
     def dfs(depth: int):
         if depth == size:
@@ -386,24 +371,23 @@ def _search(inc: IncidenceStructure, first: int, budget: int):
             return
         p = next_point(depth)
         for v in _iter_bits(candidates(p)):
-            if assign(p, v):
-                dfs(depth + 1)
+            assign(p, v)
+            dfs(depth + 1)
             undo(p, v)
 
-    if assign(e1, first):
-        dfs(2)
-    undo(e1, first)
+    assign(e1, first)
+    dfs(2)
     return perms, nodes
 
 
 def _search_task(args):
+    """(stabilizer permutations, nodes), with None for the permutations
+    when the task ran past its budget."""
     n, m, first, budget = args
-    inc = build_incidence(n, m)
     try:
-        perms, nodes = _search(inc, first, budget)
-        return perms, nodes, False
+        return _search(build_incidence(n, m), first, budget)
     except BudgetExceededError as err:
-        return [], err.nodes, True
+        return None, err.nodes
 
 
 def collineation_group(
@@ -411,24 +395,35 @@ def collineation_group(
 ) -> GroupSummary:
     """Exact order of the full collineation group of the (n, m) grid, by
     exhaustive search over point stabilizers and orbit-stabilizer with the
-    translations.  Deterministic for any worker count."""
+    translations.  Deterministic for any worker count.  The budget caps all
+    tasks together: one worker gives each task what is left, a pool stops
+    at the first result, in task order, that takes the total past it."""
     if n != 2:
         raise ValueError("exhaustive search is implemented for dimension 2 only")
     if budget is None:
         budget = DEFAULT_NODE_BUDGET
     inc = build_incidence(n, m)
     size = inc.size
-    tasks = [(n, m, first, budget) for first in range(1, size)]
-    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    firsts = range(1, size)
+    workers = min(workers, len(firsts), os.cpu_count() or 1)
+    stabilizer = []
+    total_nodes = 0
+
+    def take(perms, nodes):
+        nonlocal total_nodes
+        total_nodes += nodes
+        if perms is None or total_nodes > budget:
+            raise BudgetExceededError(total_nodes)
+        stabilizer.extend(perms)
+
     if workers <= 1:
-        results = [_search_task(t) for t in tasks]
+        for first in firsts:
+            take(*_search_task((n, m, first, budget - total_nodes)))
     else:
+        tasks = [(n, m, first, budget) for first in firsts]
         with get_context("fork").Pool(workers) as pool:
-            results = pool.map(_search_task, tasks)
-    total_nodes = sum(r[1] for r in results)
-    if total_nodes > budget or any(r[2] for r in results):
-        raise BudgetExceededError(total_nodes)
-    stabilizer = [perm for r in results for perm in r[0]]
+            for result in pool.imap(_search_task, tasks):
+                take(*result)
     order = size * len(stabilizer)
     affine = affine_group_order(n, m)
     if order % affine:

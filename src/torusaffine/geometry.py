@@ -27,10 +27,10 @@ from .intmat import Matrix, det, from_columns, scaled as _scaled
 from .intmat import frac_matvec  # noqa: F401  (wrapped by name in bench/layers.py)
 from .lattice import LatticeBasis, basis_frames, primitive_part, snf_decomposition
 
-# The most points a command lists or builds: the default oracle grid
-# denominator, the longest intersection `intersect` prints, the largest grid
-# `gen` emits and the most strokes `svg` draws for one line.  Larger inputs
-# are refused with exit 2.
+# The most points built or listed: the default oracle grid denominator, the
+# longest intersection `intersect` prints, the largest grid `gen` emits, the
+# most strokes `svg` draws for one line and the most congruence solutions
+# built.  Larger inputs are refused with exit 2.
 MAX_POINTS = 1_000_000
 
 
@@ -181,9 +181,9 @@ def _congruence_solve(columns, target, want_solutions: bool = True):
     integer basis of the solutions of M x = 0, and scaled is (denom, sols)
     with the particular solutions x (one per residue class) given as
     integer tuples over the common denominator denom — or None when the
-    caller only needs the count.  It runs on scaled integers: with
-    target = t / den and d = u M v, the system reads d y = u t / den
-    (mod Z^n) in y = v^-1 x.
+    caller only needs the count; more than MAX_POINTS solutions raise
+    ValueError.  It runs on scaled integers: with target = t / den and
+    d = u M v, the system reads d y = u t / den (mod Z^n) in y = v^-1 x.
     """
     n = len(target)
     mat = from_columns(columns)
@@ -201,6 +201,8 @@ def _congruence_solve(columns, target, want_solutions: bool = True):
     kernel = [tuple(v[i][j] for i in range(width)) for j in range(r, width)]
     if not want_solutions:
         return count, None, kernel
+    if count > MAX_POINTS:
+        raise ValueError(f"{count} solutions, more than {MAX_POINTS} to build")
     # y_j = (e_j / den + w_j) / q_j for residues w_j in range(q_j).
     denom = den * lcm(*invariants)
     bases = [x * (denom // (den * q)) for q, x in zip(invariants, e)]

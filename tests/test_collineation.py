@@ -115,6 +115,8 @@ def test_lines_through_matches_incidence_table(n, m):
             expected = {inc.lines[li] for li in inc.pair_lines.get((a, b), ())}
             got = lines_through(index_point(a, n, m), index_point(b, n, m), m)
             assert set(got) == expected
+            # the search relies on every pair of distinct points sharing a line
+            assert expected
 
 
 def test_lines_through_rejects_equal_points():
@@ -143,6 +145,18 @@ def test_primitive_lift():
                 lift = primitive_lift((a, b), m)
                 assert gcd(*lift) == 1
                 assert lift[0] % m == a and lift[1] % m == b
+    # no shift of either coordinate by 0, 1 or 2 times m is primitive here
+    lift = primitive_lift((76, 276), 389)
+    assert gcd(*lift) == 1
+    assert lift[0] % 389 == 76 and lift[1] % 389 == 276
+    for gen in [(0, 0, 1), (6, 10, 15), (0, 6, 10, 15)]:
+        lift = primitive_lift(gen, 31)
+        assert gcd(*lift) == 1
+        assert all((x - g) % 31 == 0 for x, g in zip(lift, gen))
+    assert primitive_lift((4,), 5) == (-1,)
+    assert primitive_lift((6,), 5) == (1,)
+    with pytest.raises(ValueError):
+        primitive_lift((2,), 5)
 
 
 def test_lines_are_grid_traces():
@@ -266,19 +280,26 @@ def test_m4_stabilizer_is_genuine():
 
 
 def test_group_generators_are_collineations_m3():
-    got = collineation_group(2, 3)
-    inc = build_incidence(2, 3)
-    line_sets = {frozenset(point_index(p, 3) for p in line.points) for line in inc.lines}
-    for perm in got.generators:
-        assert sorted(perm) == list(range(9))
-        for line in inc.lines:
-            image = frozenset(perm[point_index(p, 3)] for p in line.points)
-            assert image in line_sets
+    # m = 5 has 480 stabilizer elements, every one of them audited
+    for m, stabilizer_size in ((3, 48), (5, 480)):
+        got = collineation_group(2, m)
+        inc = build_incidence(2, m)
+        line_sets = {
+            frozenset(point_index(p, m) for p in line.points) for line in inc.lines
+        }
+        assert len(got.generators) == 2 + stabilizer_size
+        for perm in got.generators:
+            assert sorted(perm) == list(range(m * m))
+            for line in inc.lines:
+                image = frozenset(perm[point_index(p, m)] for p in line.points)
+                assert image in line_sets
 
 
 def test_budget_is_enforced():
-    with pytest.raises(BudgetExceededError):
+    # the budget caps all tasks together: the search stops at node 101
+    with pytest.raises(BudgetExceededError) as err:
         collineation_group(2, 5, budget=100)
+    assert err.value.nodes == 101
 
 
 def test_workers_are_clamped_to_cpu_count(monkeypatch):
@@ -294,8 +315,8 @@ def test_workers_are_clamped_to_cpu_count(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
-            return [fn(t) for t in tasks]
+        def imap(self, fn, tasks):
+            return map(fn, tasks)
 
     class Context:
         Pool = SerialPool

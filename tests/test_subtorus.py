@@ -5,6 +5,7 @@ oracle below (walk the coset's grid points directly) before the lattice
 arithmetic they certify existed.
 """
 
+import time
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -313,6 +314,19 @@ def test_intersect_offset_planes_t3():
     for v in rep.lattice.vectors:
         shifted = point(*(b + x for b, x in zip(rep.base.coords, v)))
         assert contains_point(s1, shifted) and contains_point(s2, shifted)
+
+
+def test_intersect_refuses_huge_solution_sets():
+    # the planes meet in 4903108 points; the count is known at once, so the
+    # refusal must come before any solution point is built
+    s1 = subtorus_span(origin(4), [(-20, -12, -37, 42), (0, 11, -31, -39)])
+    s2 = subtorus_span(
+        point("1/2", 0, 0, "1/3"), [(-42, -48, 1, 20), (-13, 47, -43, -22)]
+    )
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="4903108 solutions"):
+        intersect_subtori(s1, s2)
+    assert time.perf_counter() - start < 1.0
 
 
 DIRS2 = [
