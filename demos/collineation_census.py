@@ -25,7 +25,7 @@ for m in (3, 4, 5):
 
 print("\nthe m=4 stabilizer of 0, sorted into affine and exotic maps:")
 summary = collineation_group(2, 4)
-stabilizer = summary.generators[2:]
+stabilizer = list(summary.stabilizer())
 affine = [im for im in stabilizer if is_affine_perm(2, 4, im) is not None]
 exotic = [im for im in stabilizer if is_affine_perm(2, 4, im) is None]
 print(f"  {len(affine)} affine, {len(exotic)} exotic")

@@ -4,12 +4,15 @@ Points are the m^n residue tuples.  Lines are the cosets of the order-m
 cyclic subgroups whose generators lift to primitive integer directions --
 exactly the grid shadows of rational torus lines.  The group computation is
 exhaustive backtracking with incidence propagation, so reported orders are
-exact, never estimates.
+exact, never estimates.  GL_2(Z/m) fixes 0 and permutes the lines, so the
+search runs one task per orbit of the image of e1 -- one per proper divisor
+d of m, pinning e1 to (d, 0) -- and weights it by the orbit's size.
 """
 
 from __future__ import annotations
 
 import os
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -19,7 +22,8 @@ from math import gcd, prod
 from multiprocessing import get_context
 
 from .affine import AffineTorusAuto
-from .geometry import RatPoint
+from .geometry import MAX_POINTS, RatPoint
+from .intmat import matvec
 
 DEFAULT_NODE_BUDGET = 10**9
 
@@ -270,13 +274,41 @@ def is_affine_perm(n: int, m: int, images) -> AffineTorusAuto | None:
 class GroupSummary:
     """Exact collineation-group data: total order, the affine subgroup
     order and its index, the node count of the search, and permutations
-    generating the group (axis translations plus the point stabilizer)."""
+    generating the group: the axis translations, generators of GL_2(Z/m)
+    (`linear`), and, per divisor class, the image of e1 its task pinned
+    together with the collineations fixing 0 that the task found (`tasks`)."""
 
     order: int
     affine_order: int
     index: int
     nodes: int
-    generators: tuple[tuple[int, ...], ...]
+    translations: tuple[tuple[int, ...], ...]
+    linear: tuple[tuple[int, ...], ...]
+    tasks: tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]
+
+    @property
+    def generators(self) -> tuple[tuple[int, ...], ...]:
+        found = tuple(perm for _, perms in self.tasks for perm in perms)
+        return self.translations + self.linear + found
+
+    def stabilizer(self) -> Iterator[tuple[int, ...]]:
+        """Every collineation fixing 0, ordered by the image f of e1: A_f∘g
+        for each g of the task of f's class, where A_f, a product of the
+        linear generators, takes the task's pinned image to f (found by a
+        breadth-first walk out of each pinned image)."""
+        size = len(self.translations[0])
+        carry = {first: (tuple(range(size)), perms) for first, perms in self.tasks}
+        queue = list(carry)
+        for p in queue:
+            a, perms = carry[p]
+            for gen in self.linear:
+                if gen[p] not in carry:
+                    carry[gen[p]] = (tuple(gen[x] for x in a), perms)
+                    queue.append(gen[p])
+        for f in range(1, size):
+            a, perms = carry[f]
+            for perm in perms:
+                yield tuple(a[x] for x in perm)
 
 
 def _iter_bits(mask: int):
@@ -390,23 +422,66 @@ def _search_task(args):
         return None, err.nodes
 
 
+def _as_perm(n: int, m: int, fn) -> tuple[int, ...]:
+    """The image table of a map of grid points."""
+    return tuple(point_index(fn(index_point(idx, n, m)), m) for idx in range(m**n))
+
+
+def _gl2_generators(m: int) -> list[tuple[tuple[int, int], ...]]:
+    """Generators of GL_2(Z/m): the two elementary transvections generate
+    SL_2(Z/m), onto which SL_2(Z) maps, and diag(u, 1) adds the
+    determinants, for u in a greedy generating set of the units mod m."""
+    gens = [((1, 1), (0, 1)), ((1, 0), (1, 1))]
+    reached = {1}
+    for u in _units(m):
+        if u not in reached:
+            gens.append(((u, 0), (0, 1)))
+            grown, power = set(reached), u
+            while power != 1:
+                grown |= {r * power % m for r in reached}
+                power = power * u % m
+            reached = grown
+    return gens
+
+
+def _divisor_classes(n: int, m: int) -> list[tuple[int, int]]:
+    """(d, weight) for each proper divisor d of m, where weight counts the
+    nonzero points f with gcd(f, m) = d.  These are the orbits of GL_n(Z/m)
+    on the nonzero points: each such f is d times a unimodular vector."""
+    weights = Counter(gcd(*p, m) for p in iproduct(range(m), repeat=n))
+    return [(d, weights[d]) for d in range(1, m) if m % d == 0]
+
+
 def collineation_group(
     n: int, m: int, workers: int = 1, budget: int | None = None
 ) -> GroupSummary:
     """Exact order of the full collineation group of the (n, m) grid, by
-    exhaustive search over point stabilizers and orbit-stabilizer with the
-    translations.  Deterministic for any worker count.  The budget caps all
-    tasks together: one worker gives each task what is left, a pool stops
-    at the first result, in task order, that takes the total past it."""
+    exhaustive search over the point stabilizer and orbit-stabilizer with
+    the translations.  A linear A maps the stabilizer elements with e1 -> f
+    one-to-one onto those with e1 -> Af, so one task per proper divisor d of
+    m pins e1 to (d, 0) and counts for every f with gcd(f, m) = d.
+    Deterministic for any worker count; the pool splits the work only when
+    m has two or more proper divisors.  The budget caps all tasks together:
+    one worker gives each task what is left, a pool stops at the first
+    result, in task order, that takes the total past it.  A grid whose
+    table would hold more than MAX_POINTS point pairs is refused before
+    any of it is built."""
     if n != 2:
         raise ValueError("exhaustive search is implemented for dimension 2 only")
+    size = m**n
+    pairs = size * (size - 1) // 2
+    if pairs > MAX_POINTS:
+        raise ValueError(
+            f"the incidence table would hold {pairs} point pairs, "
+            f"more than {MAX_POINTS}"
+        )
     if budget is None:
         budget = DEFAULT_NODE_BUDGET
-    inc = build_incidence(n, m)
-    size = inc.size
-    firsts = range(1, size)
+    build_incidence(n, m)  # before any fork, so that workers inherit it
+    classes = _divisor_classes(n, m)
+    firsts = [point_index((d, 0), m) for d, _ in classes]
     workers = min(workers, len(firsts), os.cpu_count() or 1)
-    stabilizer = []
+    found = []
     total_nodes = 0
 
     def take(perms, nodes):
@@ -414,7 +489,7 @@ def collineation_group(
         total_nodes += nodes
         if perms is None or total_nodes > budget:
             raise BudgetExceededError(total_nodes)
-        stabilizer.extend(perms)
+        found.append(tuple(perms))
 
     if workers <= 1:
         for first in firsts:
@@ -424,25 +499,23 @@ def collineation_group(
         with get_context("fork").Pool(workers) as pool:
             for result in pool.imap(_search_task, tasks):
                 take(*result)
-    order = size * len(stabilizer)
+    order = size * sum(w * len(perms) for (_, w), perms in zip(classes, found))
     affine = affine_group_order(n, m)
     if order % affine:
         raise AssertionError("affine subgroup order does not divide group order")
-    translations = []
-    for axis in range(n):
-        e = tuple(1 if i == axis else 0 for i in range(n))
-        translations.append(
-            tuple(
-                point_index(
-                    tuple((a + b) % m for a, b in zip(index_point(idx, n, m), e)), m
-                )
-                for idx in range(size)
-            )
-        )
+    translations = tuple(
+        _as_perm(n, m, lambda p, axis=axis: (*p[:axis], p[axis] + 1, *p[axis + 1 :]))
+        for axis in range(n)
+    )
+    linear = tuple(
+        _as_perm(n, m, lambda p, a=a: matvec(a, p)) for a in _gl2_generators(m)
+    )
     return GroupSummary(
         order=order,
         affine_order=affine,
         index=order // affine,
         nodes=total_nodes,
-        generators=tuple(translations) + tuple(stabilizer),
+        translations=translations,
+        linear=linear,
+        tasks=tuple(zip(firsts, found)),
     )

@@ -210,7 +210,7 @@ def test_reconstruct_perturbed_witness(tmp_path, capsys):
 def test_reconstruct_nonaffine_collineation(tmp_path, capsys):
     summary = collineation_group(2, 4)
     perm = next(
-        p for p in summary.generators[2:] if is_affine_perm(2, 4, p) is None
+        p for p in summary.stabilizer() if is_affine_perm(2, 4, p) is None
     )
     path = tmp_path / "na.torusmap"
     path.write_text(emit_torusmap(GridMap(2, 4, perm)))
@@ -319,13 +319,25 @@ def test_oracle_agrees_with_exact_count():
 def test_search_m3_report(capsys):
     code, out, err = run(capsys, "search", "--m", "3")
     assert code == 0
-    assert out == "collineation_order 432\naffine_order 432\nindex 1\nnodes 640\n"
+    assert out == "collineation_order 432\naffine_order 432\nindex 1\nnodes 80\n"
     assert err.startswith("runtime ")
 
 
 def test_search_stdout_deterministic_across_workers(capsys):
     outs = {run(capsys, "search", "--m", "3", "--workers", str(w))[1] for w in (1, 2)}
     assert len(outs) == 1
+    # m = 3 runs one task; m = 4 (two divisor classes) and m = 6 (three) fork
+    for m in ("4", "6"):
+        outs = {run(capsys, "search", "--m", m, "--workers", str(w))[1] for w in (1, 2)}
+        assert len(outs) == 1
+
+
+def test_search_refuses_oversized_table(capsys):
+    t0 = perf_counter()
+    code, out, err = run(capsys, "search", "--m", "1000")
+    assert perf_counter() - t0 < 1
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_search_budget_flag(capsys):

@@ -14,6 +14,7 @@ import pytest
 
 from torusaffine import collineation
 from torusaffine.collineation import (
+    DEFAULT_NODE_BUDGET,
     BudgetExceededError,
     DiscreteLine,
     affine_group_order,
@@ -26,6 +27,9 @@ from torusaffine.collineation import (
     lines_through,
     point_index,
     primitive_lift,
+    _divisor_classes,
+    _gl2_generators,
+    _search,
 )
 from torusaffine.geometry import RatPoint, line_grid_points, line_through
 from fractions import Fraction
@@ -250,6 +254,12 @@ def test_group_m5_and_worker_independence():
         assert got.index == 1
     assert runs[0].nodes == runs[1].nodes
     assert runs[0].generators == runs[1].generators
+    # m = 5 has one divisor class and never forks; m = 4 and 6 have 2 and 3
+    for m, tasks in ((4, 2), (6, 3)):
+        one, two = (collineation_group(2, m, workers=w) for w in (1, 2))
+        assert len(one.tasks) == tasks
+        assert one.nodes == two.nodes
+        assert one.generators == two.generators
 
 
 def test_group_m4_exceeds_affine():
@@ -266,7 +276,7 @@ def test_m4_stabilizer_is_genuine():
     got = collineation_group(2, 4)
     inc = build_incidence(2, 4)
     line_sets = {frozenset(point_index(p, 4) for p in line.points) for line in inc.lines}
-    stabilizer = got.generators[2:]
+    stabilizer = list(got.stabilizer())
     assert len(stabilizer) == 6144 // 16
     affine_count = 0
     for perm in stabilizer:
@@ -287,12 +297,38 @@ def test_group_generators_are_collineations_m3():
         line_sets = {
             frozenset(point_index(p, m) for p in line.points) for line in inc.lines
         }
-        assert len(got.generators) == 2 + stabilizer_size
-        for perm in got.generators:
+        stabilizer = list(got.stabilizer())
+        assert len(stabilizer) == stabilizer_size
+        for perm in got.generators + tuple(stabilizer):
             assert sorted(perm) == list(range(m * m))
             for line in inc.lines:
                 image = frozenset(perm[point_index(p, m)] for p in line.points)
                 assert image in line_sets
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_stabilizer_matches_search_from_every_image_of_e1(m):
+    # oracle: one unreduced search task per nonzero image f of e1
+    inc = build_incidence(2, m)
+    oracle = set()
+    for first in range(1, m * m):
+        oracle.update(_search(inc, first, DEFAULT_NODE_BUDGET)[0])
+    got = collineation_group(2, m)
+    stabilizer = list(got.stabilizer())
+    assert len(stabilizer) == len(oracle) == got.order // (m * m)
+    assert set(stabilizer) == oracle
+    assert sum(weight for _, weight in _divisor_classes(2, m)) == m * m - 1
+
+
+def test_linear_generators_reach_every_determinant():
+    # the transvections generate SL_2(Z/m); the determinants must generate
+    # the units mod m for the set to generate GL_2(Z/m)
+    for m in (3, 4, 6, 7, 8, 15):
+        dets = [a * d - b * c for (a, b), (c, d) in _gl2_generators(m)]
+        reached = [1]
+        for x in reached:
+            reached += {x * y % m for y in dets} - set(reached)
+        assert sorted(reached) == [u for u in range(1, m) if gcd(u, m) == 1]
 
 
 def test_budget_is_enforced():
@@ -325,6 +361,11 @@ def test_workers_are_clamped_to_cpu_count(monkeypatch):
     got = collineation_group(2, 3, workers=10**6)
     assert got.order == 432
     assert all(size <= (os.cpu_count() or 1) for size in sizes)
+    # m = 4 has two divisor classes, so the pool is built, at most 2 wide
+    got = collineation_group(2, 4, workers=10**6)
+    assert got.order == 6144
+    assert sizes
+    assert all(size <= min(2, os.cpu_count() or 1) for size in sizes)
 
 
 def test_search_requires_dimension_two():

@@ -187,7 +187,7 @@ def test_prime_modulus_dichotomy(perm):
 
 def nonaffine_m4_map():
     summary = collineation_group(2, 4)
-    for perm in summary.generators[2:]:
+    for perm in summary.stabilizer():
         if is_affine_perm(2, 4, perm) is None:
             return GridMap(2, 4, perm)
     raise AssertionError("search reported no non-affine stabilizer element")
