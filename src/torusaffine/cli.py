@@ -7,9 +7,9 @@ count by grid-trace enumeration), ``search`` (exhaustive collineation-group
 order), and ``svg`` (static figure from a JSON scene).
 
 Exit codes: 0 success / affine verdict; 1 non-affine verdict (witness or
-line-preserving non-affine map); 2 malformed input; 3 search budget
-exceeded.  Stdout is deterministic for identical invocations; wall-clock
-lines go to stderr.
+line-preserving non-affine map); 2 malformed input, or stdout closed before
+the output was written; 3 search budget exceeded.  Stdout is deterministic
+for identical invocations; wall-clock lines go to stderr.
 """
 
 from __future__ import annotations
@@ -75,6 +75,10 @@ def _parse_rationals(text: str) -> RatPoint:
 
 def _read_text(path: str) -> str:
     if path == "-":
+        if sys.stdin is None:
+            raise InputError("stdin is closed")
+        # Decode stdin as a file is decoded: ASCII, universal newlines.
+        sys.stdin.reconfigure(encoding="ascii", newline=None)
         return sys.stdin.read()
     try:
         with open(path, "r", encoding="ascii") as fh:
@@ -326,7 +330,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early.  Point stdout at devnull so that
+        # the interpreter's final flush of what is still buffered succeeds.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     except (InputError, TorusMapFormatError, SceneError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

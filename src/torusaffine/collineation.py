@@ -22,8 +22,8 @@ from math import gcd, prod
 from multiprocessing import get_context
 
 from .affine import AffineTorusAuto
-from .geometry import MAX_POINTS, RatPoint
-from .intmat import matvec
+from .geometry import MAX_POINTS, RatPoint, origin
+from .intmat import identity
 
 DEFAULT_NODE_BUDGET = 10**9
 
@@ -243,11 +243,38 @@ def affine_group_order(n: int, m: int) -> int:
     return total
 
 
+def affine_table(phi: AffineTorusAuto, n: int, m: int) -> tuple[int, ...]:
+    """The image index of every m-grid point under phi, in lexicographic
+    point order.  phi may be integral or modulo m.
+
+    Image coordinate k is built for the whole grid at once, one source axis
+    at a time, as its share r·m^(n-1-k) of the flat index; the n shares are
+    then summed point by point.  Raises ValueError when phi moves 0 off the
+    grid (m·b not integral).
+    """
+    if phi.dim != n:
+        raise ValueError("dimension mismatch")
+    shifts = [b * m for b in phi.translation.coords]
+    if any(s.denominator != 1 for s in shifts):
+        raise ValueError("map does not preserve this grid")
+    shares = []
+    for k, (row, s) in enumerate(zip(phi.matrix, shifts)):
+        # One object per residue, shared by every point, keeps memory flat.
+        share = [r * m ** (n - 1 - k) for r in range(m)]
+        vals = [int(s) % m]
+        for a in row[:-1]:
+            steps = [a * t for t in range(m)]
+            vals = [(v + d) % m for v in vals for d in steps]
+        steps = [row[-1] * t for t in range(m)]
+        shares.append([share[(v + d) % m] for v in vals for d in steps])
+    return tuple(map(sum, zip(*shares)))
+
+
 def is_affine_perm(n: int, m: int, images) -> AffineTorusAuto | None:
     """The unique affine form of a grid permutation, or None.
 
     b is read off the image of 0 and the matrix columns from the images of
-    the unit vectors; the candidate is then verified pointwise.
+    the unit vectors; the candidate is then checked at every grid point.
     """
     size = m**n
     if len(images) != size:
@@ -264,9 +291,8 @@ def is_affine_perm(n: int, m: int, images) -> AffineTorusAuto | None:
         phi = AffineTorusAuto(matrix, translation, m)
     except ValueError:
         return None
-    for idx in range(size):
-        if point_index(phi.apply_residues(index_point(idx, n, m)), m) != images[idx]:
-            return None
+    if affine_table(phi, n, m) != tuple(images):
+        return None
     return phi
 
 
@@ -422,11 +448,6 @@ def _search_task(args):
         return None, err.nodes
 
 
-def _as_perm(n: int, m: int, fn) -> tuple[int, ...]:
-    """The image table of a map of grid points."""
-    return tuple(point_index(fn(index_point(idx, n, m)), m) for idx in range(m**n))
-
-
 def _gl2_generators(m: int) -> list[tuple[tuple[int, int], ...]]:
     """Generators of GL_2(Z/m): the two elementary transvections generate
     SL_2(Z/m), onto which SL_2(Z) maps, and diag(u, 1) adds the
@@ -503,12 +524,14 @@ def collineation_group(
     affine = affine_group_order(n, m)
     if order % affine:
         raise AssertionError("affine subgroup order does not divide group order")
+    unit = identity(n)
+    steps = (RatPoint(tuple(Fraction(c, m) for c in e)) for e in unit)
     translations = tuple(
-        _as_perm(n, m, lambda p, axis=axis: (*p[:axis], p[axis] + 1, *p[axis + 1 :]))
-        for axis in range(n)
+        affine_table(AffineTorusAuto(unit, step, m), n, m) for step in steps
     )
     linear = tuple(
-        _as_perm(n, m, lambda p, a=a: matvec(a, p)) for a in _gl2_generators(m)
+        affine_table(AffineTorusAuto(a, origin(n), m), n, m)
+        for a in _gl2_generators(m)
     )
     return GroupSummary(
         order=order,

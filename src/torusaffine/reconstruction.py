@@ -19,6 +19,7 @@ from .collineation import (
     DiscreteLine,
     _generators,
     _units,
+    affine_table,
     canonical_generator,
     enumerate_discrete_lines,
     index_point,
@@ -27,7 +28,7 @@ from .collineation import (
     point_index,
 )
 from .geometry import RatPoint, is_block, origin
-from .intmat import det
+from .intmat import det, identity
 
 
 class NonaffineCollineationError(Exception):
@@ -55,8 +56,10 @@ class GridMap:
         size = self.m**self.n
         if len(self.images) != size:
             raise ValueError("image table has the wrong length")
-        if len(set(self.images)) != size or not all(
-            0 <= v < size for v in self.images
+        if (
+            len(set(self.images)) != size
+            or min(self.images) < 0
+            or max(self.images) >= size
         ):
             raise ValueError("mapping is not a permutation")
 
@@ -69,31 +72,20 @@ class GridMap:
 
     @classmethod
     def from_affine(cls, phi: AffineTorusAuto, n: int, m: int) -> GridMap:
+        """The grid map of phi; an integral phi must move 0 to a grid point
+        (m·b integral), which it then does for every grid point."""
         if phi.modulus not in (None, m):
             raise ValueError("modulus mismatch")
-        images = []
-        for idx in range(m**n):
-            p = index_point(idx, n, m)
-            if phi.modulus is None:
-                q = RatPoint(tuple(Fraction(c, m) for c in p))
-                scaled = [c * m for c in phi.apply(q).coords]
-                if any(s.denominator != 1 for s in scaled):
-                    raise ValueError("map does not preserve this grid")
-                images.append(point_index(tuple(int(s) for s in scaled), m))
-            else:
-                images.append(point_index(phi.apply_residues(p), m))
-        return cls(n, m, tuple(images))
+        return cls(n, m, affine_table(phi, n, m))
 
 
 def normalize_translation(f: GridMap) -> tuple[GridMap, RatPoint]:
     """Split f into a 0-fixing map and the translation by f(0)."""
     shift = index_point(f.images[0], f.n, f.m)
     b = RatPoint(tuple(Fraction(c, f.m) for c in shift))
-    images = []
-    for idx in range(f.size):
-        img = index_point(f.images[idx], f.n, f.m)
-        images.append(point_index(tuple((a - s) % f.m for a, s in zip(img, shift)), f.m))
-    return GridMap(f.n, f.m, tuple(images)), b
+    back = RatPoint(tuple(-c for c in b.coords))
+    t = affine_table(AffineTorusAuto(identity(f.n), back, f.m), f.n, f.m)
+    return GridMap(f.n, f.m, tuple(t[i] for i in f.images)), b
 
 
 @dataclass(frozen=True)
@@ -235,12 +227,8 @@ def _blocks_preserved(f: GridMap) -> bool:
     matrix = _direction_normalizer(g)
     if matrix is None:
         return False
-    inverse = AffineTorusAuto(matrix, origin(2), m).inverse()
-    reduced = []
-    for idx in range(g.size):
-        q = g.image_of(index_point(idx, 2, m))
-        reduced.append(point_index(inverse.apply_residues(q), m))
-    h = GridMap(2, m, tuple(reduced))
+    t = affine_table(AffineTorusAuto(matrix, origin(2), m).inverse(), 2, m)
+    h = GridMap(2, m, tuple(t[i] for i in g.images))
     for x0, x1, y0, y1 in product(range(m), repeat=4):
         if x0 >= x1 or y0 == y1:
             continue

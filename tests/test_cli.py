@@ -2,7 +2,11 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from time import perf_counter
 
 import pytest
@@ -229,11 +233,79 @@ def test_reconstruct_malformed(tmp_path, capsys):
 
 def test_reconstruct_stdin_refuses_oversized_size_line(capsys, monkeypatch):
     monkeypatch.setattr(
-        "sys.stdin", io.StringIO("TORUSMAP v1\nn=100000000 m=1000000\n")
+        "sys.stdin",
+        io.TextIOWrapper(io.BytesIO(b"TORUSMAP v1\nn=100000000 m=1000000\n")),
     )
     code, out, err = run(capsys, "reconstruct", "-")
     assert (code, out) == (2, "")
     assert "needs more than the 0 records" in err
+
+
+def _reconstruct_both_ways(tmp_path, capsys, monkeypatch, data: bytes):
+    """reconstruct of data read from a file and from stdin."""
+    path = tmp_path / "in.torusmap"
+    path.write_bytes(data)
+    from_file = run(capsys, "reconstruct", str(path))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+    return from_file, run(capsys, "reconstruct", "-")
+
+
+@pytest.mark.parametrize("token", ["\u0662", "--2", "\u00b2"])
+def test_reconstruct_stdin_refuses_what_a_file_refuses(
+    tmp_path, capsys, monkeypatch, token
+):
+    # Arabic-Indic two and superscript two are digits to str.isdigit, and
+    # int() reads the first as 2; stdin used to accept it.  "--2" used to
+    # fail inside int() instead of the format check.
+    good = emit_torusmap(GridMap(2, 3, tuple(range(9))))
+    bad = good.replace("2 2 -> 2 2", f"2 2 -> {token} 2")
+    from_file, from_stdin = _reconstruct_both_ways(
+        tmp_path, capsys, monkeypatch, bad.encode("utf-8")
+    )
+    assert from_file == from_stdin
+    code, out, err = from_stdin
+    assert (code, out) == (2, "") and err.startswith("error: ")
+    with pytest.raises(TorusMapFormatError, match="bad integer token"):
+        parse_torusmap(bad)
+
+
+def test_reconstruct_stdin_reads_crlf_like_a_file(tmp_path, capsys, monkeypatch):
+    text = emit_torusmap(generate_map(2, 5, seed=4, kind="affine"))
+    from_file, from_stdin = _reconstruct_both_ways(
+        tmp_path, capsys, monkeypatch, text.replace("\n", "\r\n").encode("ascii")
+    )
+    assert from_file == from_stdin
+    assert from_stdin[0] == 0 and from_stdin[1].startswith("AFFINE\n")
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "svg"])
+def test_closed_stdin_exits_2(capsys, monkeypatch, command):
+    # With file descriptor 0 closed the interpreter sets sys.stdin to None.
+    monkeypatch.setattr("sys.stdin", None)
+    assert run(capsys, command, "-") == (2, "", "error: stdin is closed\n")
+
+
+def test_gen_into_closed_pipe_exits_2_without_traceback():
+    # About 1 MB of output against a 64 kB pipe: gen is still writing
+    # when the reader goes away.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "torusaffine.cli", "gen", "--n", "2", "--m", "256"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    try:
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.stderr.close()
+        if proc.poll() is None:
+            proc.kill()
+    assert code == 2
+    assert b"Traceback" not in err
 
 
 # --------------------------------------------- intersect and oracle
