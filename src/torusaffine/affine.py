@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
-from operator import mul
 
 from .geometry import RatPoint, origin
 from .intmat import Matrix, det, frac_matvec, identity as identity_matrix
@@ -31,10 +30,6 @@ class AffineTorusAuto:
     matrix: Matrix
     translation: RatPoint
     modulus: int | None = None
-    # The translation in integer residues mod m, read once for apply_residues.
-    _shift: tuple[int, ...] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         n = len(self.matrix)
@@ -57,8 +52,6 @@ class AffineTorusAuto:
             raise ValueError("determinant is not a unit for this modulus")
         if any(m % c.denominator for c in self.translation.coords):
             raise ValueError("translation is not a grid point for this modulus")
-        shift = tuple(c.numerator * (m // c.denominator) for c in self.translation.coords)
-        object.__setattr__(self, "_shift", shift)
 
     @property
     def dim(self) -> int:
@@ -71,15 +64,6 @@ class AffineTorusAuto:
     def apply(self, p: RatPoint) -> RatPoint:
         image = frac_matvec(self.matrix, p.coords)
         return RatPoint(tuple(x + b for x, b in zip(image, self.translation.coords)))
-
-    def apply_residues(self, x: tuple[int, ...]) -> tuple[int, ...]:
-        """Apply the map to a grid point given by integer residues mod m."""
-        m = self.modulus
-        if m is None:
-            raise ValueError("residue application needs a modulus")
-        return tuple(
-            (sum(map(mul, row, x)) + s) % m for row, s in zip(self.matrix, self._shift)
-        )
 
     def inverse(self) -> AffineTorusAuto:
         inv = matrix_inverse(self.matrix, self.modulus)

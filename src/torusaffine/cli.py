@@ -43,8 +43,6 @@ from .reconstruction import (
 )
 from .svgfig import SceneError, render_scene
 
-BUDGET_ENV = "TORUS_AFFINE_BUDGET"
-
 
 class InputError(Exception):
     """Bad command-line input (exit code 2)."""
@@ -218,22 +216,11 @@ def _cmd_oracle(args) -> int:
 # ------------------------------------------------------------ search
 
 
-def _default_budget() -> int | None:
-    raw = os.environ.get(BUDGET_ENV)
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError as err:
-        raise InputError(f"{BUDGET_ENV} must be an integer, got {raw!r}") from err
-
-
 def _cmd_search(args) -> int:
     if args.m < 3:
         raise InputError("modulus too small")
-    budget = args.budget if args.budget is not None else _default_budget()
     start = time.perf_counter()
-    summary = collineation_group(2, args.m, workers=args.workers, budget=budget)
+    summary = collineation_group(2, args.m, workers=args.workers, budget=args.budget)
     elapsed = time.perf_counter() - start
     report = (
         f"collineation_order {summary.order}\n"
@@ -310,12 +297,7 @@ def _build_parser() -> argparse.ArgumentParser:
     search = sub.add_parser("search", help="exhaustive collineation-group order")
     search.add_argument("--m", type=int, required=True)
     search.add_argument("--workers", type=int, default=1)
-    search.add_argument(
-        "--budget",
-        type=int,
-        default=None,
-        help=f"search node limit (default from ${BUDGET_ENV})",
-    )
+    search.add_argument("--budget", type=int, default=None, help="search node limit")
     search.add_argument("--out", default=None)
     search.set_defaults(func=_cmd_search)
 

@@ -80,6 +80,13 @@ def primitive_lift(gen: tuple[int, ...], m: int) -> tuple[int, ...]:
     return (a, gen[1] + t * m, *gen[2:])
 
 
+def line_points(
+    base: tuple[int, ...], gen: tuple[int, ...], m: int
+) -> list[tuple[int, ...]]:
+    """The points base + k·gen of a line, for k = 0 … m−1."""
+    return [tuple((b + k * g) % m for b, g in zip(base, gen)) for k in range(m)]
+
+
 @dataclass(frozen=True)
 class DiscreteLine:
     """A coset of an order-m cyclic subgroup with primitive-liftable
@@ -98,10 +105,7 @@ class DiscreteLine:
         if gcd(*self.generator, m) != 1:
             raise ValueError("generator shares a factor with the modulus")
         gen = canonical_generator(self.generator, m)
-        pts = sorted(
-            tuple((b + k * g) % m for b, g in zip(self.base, gen))
-            for k in range(m)
-        )
+        pts = sorted(line_points(self.base, gen, m))
         object.__setattr__(self, "generator", gen)
         object.__setattr__(self, "base", pts[0])
         object.__setattr__(self, "points", tuple(pts))
@@ -157,19 +161,18 @@ def _is_base(p: tuple[int, ...], g: tuple[int, ...], m: int) -> bool:
     return True
 
 
-def enumerate_discrete_lines(n: int, m: int) -> Iterator[DiscreteLine]:
+def enumerate_discrete_lines(
+    n: int, m: int
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """All discrete lines of the m-grid on the n-torus, each once, lazily,
-    in (base, generator) order."""
+    as the canonical (base, generator) pairs of DiscreteLine, in order."""
     if m < 3:
         raise ValueError("modulus too small")
     if n < 2:
         raise ValueError("dimension must be at least 2")
     gens = _generators(n, m)
     return (
-        DiscreteLine(n, m, g, p)
-        for p in iproduct(range(m), repeat=n)
-        for g in gens
-        if _is_base(p, g, m)
+        (p, g) for p in iproduct(range(m), repeat=n) for g in gens if _is_base(p, g, m)
     )
 
 
@@ -190,7 +193,7 @@ class IncidenceStructure:
 
 @lru_cache(maxsize=None)
 def build_incidence(n: int, m: int) -> IncidenceStructure:
-    lines = tuple(enumerate_discrete_lines(n, m))
+    lines = tuple(DiscreteLine(n, m, g, p) for p, g in enumerate_discrete_lines(n, m))
     size = m**n
     masks = []
     through = [[] for _ in range(size)]

@@ -24,11 +24,12 @@ from .collineation import (
     enumerate_discrete_lines,
     index_point,
     is_affine_perm,
+    line_points,
     lines_through,
     point_index,
 )
-from .geometry import RatPoint, is_block, origin
-from .intmat import det, identity
+from .geometry import RatPoint
+from .intmat import det
 
 
 class NonaffineCollineationError(Exception):
@@ -79,15 +80,6 @@ class GridMap:
         return cls(n, m, affine_table(phi, n, m))
 
 
-def normalize_translation(f: GridMap) -> tuple[GridMap, RatPoint]:
-    """Split f into a 0-fixing map and the translation by f(0)."""
-    shift = index_point(f.images[0], f.n, f.m)
-    b = RatPoint(tuple(Fraction(c, f.m) for c in shift))
-    back = RatPoint(tuple(-c for c in b.coords))
-    t = affine_table(AffineTorusAuto(identity(f.n), back, f.m), f.n, f.m)
-    return GridMap(f.n, f.m, tuple(t[i] for i in f.images)), b
-
-
 @dataclass(frozen=True)
 class Witness:
     """Certificate that a grid map is not a collineation: three points on
@@ -105,16 +97,18 @@ class Witness:
         return all(c not in line.points for line in lines_through(a, b, f.m))
 
 
-def _image_line(f: GridMap, line: DiscreteLine) -> tuple[int, ...] | None:
-    """A generator of the image of line under f, or None when the image is
-    not a discrete line.
+def _image_line(
+    f: GridMap, points: list[tuple[int, ...]]
+) -> tuple[int, ...] | None:
+    """A generator of the image of a line's points under f, or None when
+    the image is not a discrete line.
 
     A line q0 + <g> contains q0 + g with gcd(g, m) = 1, and any such point
     generates the same subgroup, so the first image q with gcd(q - q0, m)
     = 1 fixes the only candidate line.
     """
     m = f.m
-    images = [f.image_of(p) for p in line.points]
+    images = [f.image_of(p) for p in points]
     q0 = images[0]
     for q in images[1:]:
         g = tuple((y - x) % m for x, y in zip(q0, q))
@@ -149,10 +143,10 @@ def verify_line_preserving(f: GridMap):
     """True when every discrete line maps onto a discrete line; otherwise
     the first Witness, scanning lines by (base, generator) from 0 up."""
     broken = False
-    for line in enumerate_discrete_lines(f.n, f.m):
-        if _image_line(f, line) is None:
+    for base, gen in enumerate_discrete_lines(f.n, f.m):
+        if _image_line(f, line_points(base, gen, f.m)) is None:
             broken = True
-            witness = _line_witness(f, line)
+            witness = _line_witness(f, DiscreteLine(f.n, f.m, gen, base))
             if witness is not None:
                 return witness
     if not broken:
@@ -188,20 +182,21 @@ class PropertyReport:
     subtorus_cosets_preserved: bool | None
 
 
-def _direction_normalizer(g: GridMap) -> tuple | None:
-    """A matrix mod m acting on line directions exactly as the 0-fixing map
-    g does on the four block families (horizontal, vertical, slope 1, slope
-    -1), or None when no matrix matches.
+def _direction_normalizer(f: GridMap) -> tuple | None:
+    """A matrix mod m acting on line directions exactly as f does on the
+    four block families (horizontal, vertical, slope 1, slope -1), or None
+    when no matrix matches.  A translation changes no generator, so the
+    lines through 0 stand for their families.
 
     Blocks are woven out of those four families, so block preservation is a
-    statement about g with its direction action divided out; an affine map
+    statement about f with its direction action divided out; an affine map
     is normalized by its own linear part.
     """
-    m = g.m
+    m = f.m
     families = [(1, 0), (0, 1), (1, 1), (1, m - 1)]
     image_gen = {}
     for d in families:
-        gen = _image_line(g, DiscreteLine(2, m, d, (0, 0)))
+        gen = _image_line(f, line_points((0, 0), d, m))
         if gen is None:
             return None
         image_gen[d] = canonical_generator(gen, m)
@@ -222,27 +217,27 @@ def _direction_normalizer(g: GridMap) -> tuple | None:
 
 
 def _blocks_preserved(f: GridMap) -> bool:
+    """Whether h = ψ⁻¹∘f, ψ = (direction normalizer, f(0)), maps every block
+    onto a block.  Blocks are axis rectangles with x1 − x0 ≡ ±(y1 − y0) mod
+    m; the square-sided quadruples (x0, y0), (x0 + d, y0), (x0, y0 + d),
+    (x0 + d, y0 + d), d ≠ 0, reach all of them (sides d, −d at (x0, y0) are
+    sides d, d at (x0, y0 − d)).  h is a bijection, so an image is a block
+    exactly when it has two columns, two rows and such sides."""
     m = f.m
-    g, _ = normalize_translation(f)
-    matrix = _direction_normalizer(g)
+    matrix = _direction_normalizer(f)
     if matrix is None:
         return False
-    t = affine_table(AffineTorusAuto(matrix, origin(2), m).inverse(), 2, m)
-    h = GridMap(2, m, tuple(t[i] for i in g.images))
-    for x0, x1, y0, y1 in product(range(m), repeat=4):
-        if x0 >= x1 or y0 == y1:
-            continue
-        corners = [(x0, y0), (x0, y1), (x1, y0), (x1, y1)]
-        before = is_block(
-            *(RatPoint((Fraction(a, m), Fraction(b, m))) for a, b in corners)
-        )
-        if not before:
-            continue
-        mapped = [h.image_of(c) for c in corners]
-        after = is_block(
-            *(RatPoint((Fraction(a, m), Fraction(b, m))) for a, b in mapped)
-        )
-        if not after:
+    shift = RatPoint(tuple(Fraction(c, m) for c in f.image_of((0, 0))))
+    back = affine_table(AffineTorusAuto(matrix, shift, m).inverse(), 2, m)
+    h = [divmod(back[i], m) for i in f.images]
+    for x0, y0, d in product(range(m), range(m), range(1, m)):
+        x1, y1 = (x0 + d) % m, (y0 + d) % m
+        xs, ys = zip(*(h[x * m + y] for x in (x0, x1) for y in (y0, y1)))
+        cols, rows = set(xs), set(ys)
+        if len(cols) != 2 or len(rows) != 2:
+            return False
+        (u, v), (s, t) = cols, rows
+        if (v - u - t + s) % m and (v - u + t - s) % m:
             return False
     return True
 
@@ -277,12 +272,12 @@ def check_paper_properties(f: GridMap) -> PropertyReport:
     cosets.  Raises ValueError unless f maps every line onto a line."""
     image_gen: dict[tuple[int, ...], tuple[int, ...]] = {}
     parallels = True
-    for line in enumerate_discrete_lines(f.n, f.m):
-        gen = _image_line(f, line)
+    for base, g in enumerate_discrete_lines(f.n, f.m):
+        gen = _image_line(f, line_points(base, g, f.m))
         if gen is None:
             raise ValueError("map does not preserve lines")
         gen = canonical_generator(gen, f.m)
-        parallels &= image_gen.setdefault(line.generator, gen) == gen
+        parallels &= image_gen.setdefault(g, gen) == gen
     blocks = _blocks_preserved(f) if f.n == 2 else None
     subtori = (
         _subtorus_cosets_preserved(f) if f.n >= 3 and _prime(f.m) else None

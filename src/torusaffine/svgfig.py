@@ -18,7 +18,6 @@ import re
 from fractions import Fraction
 from math import floor
 
-from .geometry import MAX_POINTS
 from .lattice import primitive_part
 
 _STYLE_VALUE = re.compile(r"[-#A-Za-z0-9. ,]*\Z")
@@ -26,6 +25,9 @@ _STYLE_VALUE = re.compile(r"[-#A-Za-z0-9. ,]*\Z")
 DEFAULT_STROKE = "#1d3557"
 DEFAULT_POINT_FILL = "#c1121f"
 DEFAULT_BLOCK_STROKE = "#2a9d8f"
+# More strokes than a figure can show: a scene whose lines need more than
+# this in all is refused before any stroke is built.
+MAX_STROKES = 10**4
 
 
 class SceneError(Exception):
@@ -109,7 +111,7 @@ def _diagonal(a, b, what: str):
     return wrapped_strokes(a, direction, span)
 
 
-def _line_elements(entry: dict) -> list[str]:
+def _line_direction(entry: dict) -> tuple[int, int]:
     direction = entry.get("direction")
     if (
         not isinstance(direction, (list, tuple))
@@ -119,12 +121,10 @@ def _line_elements(entry: dict) -> list[str]:
         or direction == (0, 0)
     ):
         raise SceneError("line direction must be a nonzero integer pair")
-    direction = primitive_part(tuple(direction))[0]
-    # A closed line of direction (p, q) is at most |p| + |q| strokes.
-    if abs(direction[0]) + abs(direction[1]) > MAX_POINTS:
-        raise SceneError(
-            f"line direction {direction} needs more than {MAX_POINTS} strokes"
-        )
+    return primitive_part(tuple(direction))[0]
+
+
+def _line_elements(entry: dict, direction: tuple[int, int]) -> list[str]:
     base = _pair(entry.get("base", ("0", "0")), "line base")
     stroke = _style(entry, "stroke", DEFAULT_STROKE)
     width = _style(entry, "width", "0.008")
@@ -201,14 +201,23 @@ def render_scene(scene: dict) -> str:
         for entry in scene.get(key, []):
             if not isinstance(entry, dict):
                 raise SceneError(f"each {key} entry must be an object")
+    lines = scene.get("lines", [])
+    directions = [_line_direction(entry) for entry in lines]
+    # A closed line of direction (p, q) crosses the sides |p| + |q| times,
+    # and the stroke through its base is cut there: at most one more.
+    strokes = sum(abs(p) + abs(q) for p, q in directions)
+    if strokes > MAX_STROKES:
+        raise SceneError(
+            f"scene lines need {strokes} strokes in all, more than {MAX_STROKES}"
+        )
     body = [
         '<rect x="0" y="0" width="1" height="1" fill="#ffffff"'
         ' stroke="#333333" stroke-width="0.004" />'
     ]
     for entry in scene.get("blocks", []):
         body.extend(_block_elements(entry))
-    for entry in scene.get("lines", []):
-        body.extend(_line_elements(entry))
+    for entry, direction in zip(lines, directions):
+        body.extend(_line_elements(entry, direction))
     for entry in scene.get("points", []):
         body.extend(_point_elements(entry))
     parts = [

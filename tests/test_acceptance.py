@@ -18,7 +18,12 @@ import pytest
 
 from torusaffine.affine import AffineTorusAuto
 from torusaffine.cli import generate_map, main
-from torusaffine.collineation import DiscreteLine, affine_group_order
+from torusaffine.collineation import (
+    DiscreteLine,
+    affine_group_order,
+    collineation_group,
+    is_affine_perm,
+)
 from torusaffine.fileformat import emit_torusmap
 from torusaffine.geometry import (
     RatPoint,
@@ -38,7 +43,7 @@ from torusaffine.lattice import (
     saturate,
     smith_invariants,
 )
-from torusaffine.reconstruction import GridMap, Witness
+from torusaffine.reconstruction import GridMap, Witness, check_paper_properties
 from torusaffine.subtorus import (
     RationalSubtorus,
     contains_point,
@@ -392,6 +397,33 @@ def test_search_orders_match_affine_counts_at_primes():
         f"identical for 1/2/4 workers), m=5 order 12000 in {dt5:.1f}s <= 300s"
     )
     assert dt5 <= 300
+
+
+def test_collineations_are_affine_exactly_when_parallels_and_blocks_hold():
+    # The grid form of the paper's theorem.  Lines to lines is not enough at
+    # m = 4; with parallelism, or with blocks, it is: every collineation
+    # fixing 0 at m = 3..6 is affine (by its read-off model, checked at
+    # every point) exactly when it keeps parallels and exactly when it
+    # keeps blocks.
+    t0 = perf_counter()
+    counts = {}
+    for m in range(3, 7):
+        stabilizer = list(collineation_group(2, m).stabilizer())
+        affine = 0
+        for perm in stabilizer:
+            report = check_paper_properties(GridMap(2, m, perm))
+            is_affine = is_affine_perm(2, m, perm) is not None
+            assert report.parallels_preserved == report.blocks_preserved == is_affine
+            affine += is_affine
+        counts[m] = (len(stabilizer), affine)
+    dt = perf_counter() - t0
+    # (stabilizer size, affine among them): |GL_2(Z/m)| affine maps fix 0
+    assert counts == {3: (48, 48), 4: (384, 96), 5: (480, 480), 6: (288, 288)}
+    print(
+        f"collineations fixing 0 at m = 3..6: {sum(s for s, _ in counts.values())} "
+        f"maps, affine exactly when parallels and blocks hold, {dt:.1f}s <= 60s"
+    )
+    assert dt <= 60
 
 
 def test_line_subtorus_counts_match_grid_oracle():

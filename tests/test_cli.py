@@ -418,18 +418,6 @@ def test_search_budget_flag(capsys):
     assert "budget exceeded" in err
 
 
-def test_search_budget_env(capsys, monkeypatch):
-    monkeypatch.setenv("TORUS_AFFINE_BUDGET", "50")
-    code, out, err = run(capsys, "search", "--m", "5")
-    assert code == 3
-
-
-def test_search_env_must_be_integer(capsys, monkeypatch):
-    monkeypatch.setenv("TORUS_AFFINE_BUDGET", "lots")
-    code, out, err = run(capsys, "search", "--m", "5")
-    assert code == 2
-
-
 # --------------------------------------------------------------- svg
 
 
@@ -487,17 +475,34 @@ def test_svg_invalid_scene(tmp_path, capsys):
 
 
 def test_svg_refuses_steep_line(tmp_path, capsys):
-    # A line of direction (p, q) is |p| + |q| strokes; above MAX_POINTS
-    # (10**6) the scene is refused before any stroke is built.  The first
-    # used to hang; (2000000, 2) reduces to (1000000, 1), one over.
+    # A line of direction (p, q) crosses the sides |p| + |q| times; a scene
+    # whose lines need more than MAX_STROKES (10**4) in all is refused before
+    # any stroke is built.  The first used to hang; (20000, 2) reduces to
+    # (10000, 1), one over.
     def scene(direction):
         return write_scene(tmp_path, {"lines": [{"direction": direction}]})
 
-    for direction in ([100000000, 1], [1, -1000000], [2000000, 2]):
+    for direction in ([100000000, 1], [1, -10000], [20000, 2]):
         t0 = perf_counter()
         code, out, err = run(capsys, "svg", scene(direction))
         assert perf_counter() - t0 < 1.0
         assert code == 2 and out == ""
-        assert "more than 1000000 strokes" in err
+        assert "strokes in all, more than 10000" in err
     code, out, _ = run(capsys, "svg", scene([2000000, 2000000]))
     assert code == 0 and out.count("<line") == 1
+
+
+def test_svg_bounds_the_whole_scene(tmp_path, capsys):
+    # each line fits alone; eleven of 1000 strokes do not fit together
+    def scene(direction, count):
+        lines = [{"direction": direction}] * count
+        return write_scene(tmp_path, {"lines": lines})
+
+    t0 = perf_counter()
+    code, out, err = run(capsys, "svg", scene([999, 1], 11))
+    assert perf_counter() - t0 < 1.0
+    assert code == 2 and out == ""
+    assert "scene lines need 11000 strokes in all, more than 10000" in err
+    # from the corner (0, 0), a (99, 1) line is 99 strokes, not 100
+    code, out, _ = run(capsys, "svg", scene([99, 1], 10))
+    assert code == 0 and out.count("<line") == 10 * 99

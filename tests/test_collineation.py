@@ -24,6 +24,7 @@ from torusaffine.collineation import (
     enumerate_discrete_lines,
     index_point,
     is_affine_perm,
+    line_points,
     lines_through,
     point_index,
     primitive_lift,
@@ -71,12 +72,11 @@ def test_line_rejects_bad_generator():
 
 def test_lines_cover_and_have_m_points():
     for m in (3, 4, 5, 6):
-        lines = list(enumerate_discrete_lines(2, m))
-        for line in lines:
-            assert len(line.points) == m
         covered = set()
-        for line in lines:
-            covered.update(line.points)
+        for base, gen in enumerate_discrete_lines(2, m):
+            points = line_points(base, gen, m)
+            assert len(set(points)) == m
+            covered.update(points)
         assert len(covered) == m * m
 
 
@@ -100,12 +100,15 @@ def test_line_walk_matches_coset_oracle(n, m):
         for sub in subgroups
         for p in grid
     }
-    lines = list(enumerate_discrete_lines(n, m))
-    walked = [frozenset(line.points) for line in lines]
+    keys = list(enumerate_discrete_lines(n, m))
+    walked = [frozenset(line_points(base, gen, m)) for base, gen in keys]
     assert len(set(walked)) == len(walked)
     assert set(walked) == cosets
-    keys = [(line.base, line.generator) for line in lines]
     assert all(a < b for a, b in zip(keys, keys[1:]))
+    # every walked pair is already the canonical form DiscreteLine stores
+    for base, gen in keys:
+        line = DiscreteLine(n, m, gen, base)
+        assert (line.base, line.generator) == (base, gen)
 
 
 @pytest.mark.parametrize(
@@ -166,12 +169,12 @@ def test_primitive_lift():
 def test_lines_are_grid_traces():
     # every discrete line equals the grid trace of its lifted rational line
     for m in (4, 5):
-        for line in enumerate_discrete_lines(2, m):
-            lift = primitive_lift(line.generator, m)
-            base = RatPoint((Fraction(line.base[0], m), Fraction(line.base[1], m)))
-            trace = line_grid_points(line_through(base, lift), m)
+        for base, gen in enumerate_discrete_lines(2, m):
+            lift = primitive_lift(gen, m)
+            start = RatPoint((Fraction(base[0], m), Fraction(base[1], m)))
+            trace = line_grid_points(line_through(start, lift), m)
             got = {tuple(int(c * m) for c in p.coords) for p in trace}
-            assert got == set(line.points)
+            assert got == set(line_points(base, gen, m))
 
 
 def test_shared_point_counts():
@@ -179,15 +182,18 @@ def test_shared_point_counts():
     # grids share up to gcd(|det of lifts|, m) points
     expected_max = {3: 1, 4: 2, 5: 1, 6: 3}
     for m, want in expected_max.items():
-        lines = list(enumerate_discrete_lines(2, m))
+        lines = [
+            (gen, set(line_points(base, gen, m)))
+            for base, gen in enumerate_discrete_lines(2, m)
+        ]
         top = 0
-        for i, a in enumerate(lines):
-            for b in lines[i + 1 :]:
-                shared = len(set(a.points) & set(b.points))
+        for i, (ga, a) in enumerate(lines):
+            for gb, b in lines[i + 1 :]:
+                shared = len(a & b)
                 top = max(top, shared)
-                if shared and a.generator != b.generator:
-                    va = primitive_lift(a.generator, m)
-                    vb = primitive_lift(b.generator, m)
+                if shared and ga != gb:
+                    va = primitive_lift(ga, m)
+                    vb = primitive_lift(gb, m)
                     det = va[0] * vb[1] - va[1] * vb[0]
                     assert shared == gcd(abs(det), m)
         assert top == want

@@ -7,7 +7,11 @@ and the m=4 stabilizer computed by the exhaustive search provides real
 instances of it.
 """
 
+import random
 from fractions import Fraction
+from functools import cache
+from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -16,10 +20,12 @@ from hypothesis import strategies as st
 from torusaffine.affine import AffineTorusAuto
 from torusaffine.collineation import (
     DiscreteLine,
+    affine_table,
     collineation_group,
     is_affine_perm,
 )
-from torusaffine.geometry import RatPoint
+from torusaffine.geometry import RatPoint, is_block, origin
+from torusaffine.intmat import det, identity
 from torusaffine.reconstruction import (
     GridMap,
     NonaffineCollineationError,
@@ -27,8 +33,9 @@ from torusaffine.reconstruction import (
     Witness,
     check_paper_properties,
     infer_affine,
-    normalize_translation,
     verify_line_preserving,
+    _blocks_preserved,
+    _direction_normalizer,
 )
 
 
@@ -63,16 +70,6 @@ def test_from_affine_rejects_off_grid_translation():
     phi = AffineTorusAuto(((1, 0), (0, 1)), grid_point(1, 0, m=3))
     with pytest.raises(ValueError, match="does not preserve this grid"):
         GridMap.from_affine(phi, 2, 5)
-
-
-def test_normalize_translation():
-    phi = AffineTorusAuto(((1, 1), (0, 1)), grid_point(1, 2, m=5), 5)
-    f = GridMap.from_affine(phi, 2, 5)
-    g, b = normalize_translation(f)
-    assert b == grid_point(1, 2, m=5)
-    assert g.images[0] == 0
-    linear = AffineTorusAuto(((1, 1), (0, 1)), grid_point(0, 0, m=5), 5)
-    assert g == GridMap.from_affine(linear, 2, 5)
 
 
 # ------------------------------------------------------ infer_affine
@@ -248,3 +245,103 @@ def test_report_rejects_line_breaker():
     images[6], images[11] = images[11], images[6]
     with pytest.raises(ValueError, match="does not preserve lines"):
         check_paper_properties(GridMap(2, 5, tuple(images)))
+
+
+# ------------------------------------- the block walk against its definition
+
+
+def translated_to_zero(f):
+    """f followed by the translation that takes f(0) back to 0."""
+    m = f.m
+    back = RatPoint(tuple(Fraction(-c, m) for c in f.image_of((0, 0))))
+    t = affine_table(AffineTorusAuto(identity(2), back, m), 2, m)
+    return GridMap(2, m, tuple(t[i] for i in f.images))
+
+
+@cache
+def grid_block(m, corners):
+    return is_block(*(grid_point(*c, m=m) for c in corners))
+
+
+def reference_blocks_preserved(f):
+    """The block test by its definition: move f(0) back to 0, divide out the
+    direction normalizer, then send every rectangle of the m^4 that
+    `is_block` accepts on RatPoints through the map and ask `is_block`
+    again."""
+    m = f.m
+    g = translated_to_zero(f)
+    matrix = _direction_normalizer(g)
+    if matrix is None:
+        return False
+    t = affine_table(AffineTorusAuto(matrix, origin(2), m).inverse(), 2, m)
+    h = GridMap(2, m, tuple(t[i] for i in g.images))
+    for x0, x1, y0, y1 in product(range(m), repeat=4):
+        if x0 >= x1 or y0 == y1:
+            continue
+        corners = [(x0, y0), (x0, y1), (x1, y0), (x1, y1)]
+        mapped = [h.image_of(c) for c in corners]
+        if grid_block(m, frozenset(corners)) and not grid_block(m, frozenset(mapped)):
+            return False
+    return True
+
+
+def block_walk_matching_reference(f):
+    """The walk's verdict on f, asserted equal to the reference's."""
+    # a translation changes no generator, so f and f moved back to 0 share
+    # their normalizer
+    assert _direction_normalizer(f) == _direction_normalizer(translated_to_zero(f))
+    verdict = _blocks_preserved(f)
+    assert verdict == reference_blocks_preserved(f)
+    return verdict
+
+
+def random_affine_table(rng, m):
+    while True:
+        a = tuple(tuple(rng.randrange(m) for _ in range(2)) for _ in range(2))
+        if gcd(det(a), m) == 1:
+            break
+    b = grid_point(rng.randrange(m), rng.randrange(m), m=m)
+    return affine_table(AffineTorusAuto(a, b, m), 2, m)
+
+
+def test_block_walk_matches_definition_on_m4_stabilizer():
+    # every collineation fixing 0 at m = 4, the exotic ones included, and
+    # each of them followed by every translation of the grid
+    m = 4
+    shifts = [
+        affine_table(AffineTorusAuto(identity(2), grid_point(a, b, m=m), m), 2, m)
+        for a, b in product(range(m), repeat=2)
+    ]
+    verdicts = set()
+    for perm in collineation_group(2, m).stabilizer():
+        for t in shifts:
+            f = GridMap(2, m, tuple(t[i] for i in perm))
+            verdicts.add(block_walk_matching_reference(f))
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("m", range(3, 9))
+def test_block_walk_matches_definition_on_affine_and_swapped_maps(m):
+    # a swap of two points off the four block families through 0 keeps the
+    # normalizer, so the walk itself has to judge the blocks (from m = 4 on;
+    # at m = 3 those four lines cover the grid)
+    rng = random.Random(m)
+    off = [
+        x * m + y
+        for x, y in product(range(1, m), repeat=2)
+        if (x - y) % m and (x + y) % m
+    ]
+    for _ in range(8):
+        images = list(random_affine_table(rng, m))
+        f = GridMap(2, m, tuple(images))
+        assert block_walk_matching_reference(f)
+        for pool in (range(m * m), off):
+            if len(pool) < 2:
+                continue
+            i, j = rng.sample(pool, 2)
+            swapped = list(images)
+            swapped[i], swapped[j] = swapped[j], swapped[i]
+            g = GridMap(2, m, tuple(swapped))
+            block_walk_matching_reference(g)
+            if pool is off:
+                assert _direction_normalizer(g) == _direction_normalizer(f)

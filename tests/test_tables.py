@@ -35,12 +35,8 @@ from torusaffine.reconstruction import GridMap
 
 
 def table_by_points(phi, n, m):
-    return tuple(
-        point_index(phi.apply_residues(index_point(i, n, m)), m) for i in range(m**n)
-    )
-
-
-def integral_table_by_points(phi, n, m):
+    """The image index of every grid point, one exact `apply` at a time;
+    phi may be integral or modulo m."""
     images = []
     for i in range(m**n):
         p = RatPoint(tuple(Fraction(c, m) for c in index_point(i, n, m)))
@@ -158,7 +154,7 @@ def integral_maps(draw):
 @settings(max_examples=60, deadline=None)
 def test_from_affine_integral_matches_pointwise_images(case):
     phi, n, m = case
-    assert GridMap.from_affine(phi, n, m).images == integral_table_by_points(phi, n, m)
+    assert GridMap.from_affine(phi, n, m).images == table_by_points(phi, n, m)
 
 
 def test_affine_table_refuses_off_grid_translation():
