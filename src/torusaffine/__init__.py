@@ -1,127 +1,67 @@
 """Exact rational geometry on tori: lattices, lines, subtori, and the
-reconstruction of affine maps from finite grid data."""
+reconstruction of affine maps from finite grid data.
 
-from .affine import AffineTorusAuto
-from .collineation import (
-    BudgetExceededError,
-    DiscreteLine,
-    GroupSummary,
-    affine_group_order,
-    build_incidence,
-    canonical_generator,
-    collineation_group,
-    enumerate_discrete_lines,
-    is_affine_perm,
-    line_points,
-    lines_through,
-    primitive_lift,
-)
-from .fileformat import TorusMapFormatError, emit_torusmap, parse_torusmap
-from .geometry import (
-    IntersectionCount,
-    RationalLine,
-    RatPoint,
-    are_parallel,
-    block_criterion,
-    grid_oracle_count,
-    intersection_count_2d,
-    intersection_points,
-    is_block,
-    line_grid_points,
-    line_hyperplane_count,
-    line_through,
-    origin,
-    point,
-)
-from .lattice import (
-    LatticeBasis,
-    hnf,
-    is_primitive,
-    is_unimodular,
-    primitive_part,
-    saturate,
-    smith_invariants,
-    snf_decomposition,
-)
-from .reconstruction import (
-    GridMap,
-    NonaffineCollineationError,
-    PropertyReport,
-    Witness,
-    check_paper_properties,
-    infer_affine,
-    verify_line_preserving,
-)
-from .subtorus import (
-    ComponentDecomposition,
-    RationalSubtorus,
-    contains_point,
-    image_subtorus,
-    intersect_subtori,
-    line_as_subtorus,
-    line_subtorus_count,
-    quotient_project,
-    subtorus_span,
-)
-from .svgfig import SceneError, render_scene
+The names below are loaded on first use (PEP 562), so importing the package
+or one of its modules does not import the rest of it.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AffineTorusAuto",
-    "BudgetExceededError",
-    "ComponentDecomposition",
-    "DiscreteLine",
-    "GridMap",
-    "GroupSummary",
-    "IntersectionCount",
-    "LatticeBasis",
-    "NonaffineCollineationError",
-    "PropertyReport",
-    "RatPoint",
-    "RationalLine",
-    "RationalSubtorus",
-    "SceneError",
-    "TorusMapFormatError",
-    "Witness",
-    "affine_group_order",
-    "are_parallel",
-    "block_criterion",
-    "build_incidence",
-    "canonical_generator",
-    "check_paper_properties",
-    "collineation_group",
-    "contains_point",
-    "emit_torusmap",
-    "enumerate_discrete_lines",
-    "grid_oracle_count",
-    "hnf",
-    "image_subtorus",
-    "infer_affine",
-    "intersect_subtori",
-    "intersection_count_2d",
-    "intersection_points",
-    "is_affine_perm",
-    "is_block",
-    "is_primitive",
-    "is_unimodular",
-    "line_as_subtorus",
-    "line_grid_points",
-    "line_hyperplane_count",
-    "line_points",
-    "line_subtorus_count",
-    "line_through",
-    "lines_through",
-    "origin",
-    "parse_torusmap",
-    "point",
-    "primitive_lift",
-    "primitive_part",
-    "quotient_project",
-    "render_scene",
-    "saturate",
-    "smith_invariants",
-    "snf_decomposition",
-    "subtorus_span",
-    "verify_line_preserving",
-]
+_EXPORTS = {
+    name: module
+    for module, names in (
+        ("affine", "AffineTorusAuto"),
+        (
+            "collineation",
+            "BudgetExceededError DiscreteLine GroupSummary affine_group_order "
+            "build_incidence canonical_generator collineation_group "
+            "enumerate_discrete_lines is_affine_perm line_points lines_through "
+            "primitive_lift",
+        ),
+        ("fileformat", "TorusMapFormatError emit_torusmap parse_torusmap"),
+        (
+            "geometry",
+            "IntersectionCount RationalLine RationalSubtorus are_parallel "
+            "block_criterion contains_point grid_oracle_count "
+            "intersection_count_2d intersection_points is_block "
+            "line_grid_points line_hyperplane_count line_through",
+        ),
+        (
+            "lattice",
+            "LatticeBasis hnf is_primitive is_unimodular primitive_part "
+            "saturate smith_invariants snf_decomposition",
+        ),
+        ("ratpoint", "RatPoint origin point"),
+        (
+            "reconstruction",
+            "GridMap NonaffineCollineationError PropertyReport Witness "
+            "check_paper_properties infer_affine verify_line_preserving",
+        ),
+        (
+            "subtorus",
+            "ComponentDecomposition image_subtorus intersect_subtori "
+            "line_as_subtorus line_subtorus_count quotient_project "
+            "subtorus_span",
+        ),
+        ("svgfig", "SceneError render_scene"),
+    )
+    for name in names.split()
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    # An unknown name raises AttributeError, which is also what lets
+    # ``from torusaffine import geometry`` fall through to the submodule.
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -5,9 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .geometry import RatPoint, origin
 from .intmat import Matrix, det, frac_matvec, identity as identity_matrix
-from .lattice import matrix_inverse
+from .ratpoint import RatPoint, origin
 
 
 def balanced_residue(x: int, m: int) -> int:
@@ -66,6 +65,8 @@ class AffineTorusAuto:
         return RatPoint(tuple(x + b for x, b in zip(image, self.translation.coords)))
 
     def inverse(self) -> AffineTorusAuto:
+        from .lattice import matrix_inverse
+
         inv = matrix_inverse(self.matrix, self.modulus)
         shift = frac_matvec(inv, self.translation.coords)
         back = RatPoint(tuple(-x for x in shift))

@@ -15,33 +15,19 @@ for identical invocations; wall-clock lines go to stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import os
-import random
 import sys
 import time
 from fractions import Fraction
-from math import gcd
+from typing import TYPE_CHECKING
 
-from .affine import AffineTorusAuto, balanced_residue
-from .collineation import BudgetExceededError, collineation_group
-from .fileformat import TorusMapFormatError, emit_torusmap, parse_torusmap
-from .geometry import (
-    MAX_POINTS,
-    RatPoint,
-    grid_oracle_count,
-    intersection_count_2d,
-    intersection_points,
-    line_through,
-)
-from .intmat import det
-from .reconstruction import (
-    GridMap,
-    NonaffineCollineationError,
-    Witness,
-    infer_affine,
-)
-from .svgfig import SceneError, render_scene
+from .ratpoint import MAX_POINTS, RatPoint
+
+# Each subcommand imports the library modules it runs, so a process loads
+# only those: gen, reconstruct and search never load geometry or lattice.
+if TYPE_CHECKING:
+    from .affine import AffineTorusAuto
+    from .reconstruction import GridMap, Witness
 
 
 class InputError(Exception):
@@ -94,6 +80,8 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _line_from_args(dir_text: str, base_text: str):
+    from .geometry import line_through
+
     direction = _parse_ints(dir_text)
     if direction == (0, 0):
         raise InputError("direction must be nonzero")
@@ -105,6 +93,13 @@ def _line_from_args(dir_text: str, base_text: str):
 
 def generate_map(n: int, m: int, seed: int, kind: str) -> GridMap:
     """Deterministic test-data generator for one seed."""
+    import random
+    from math import gcd
+
+    from .affine import AffineTorusAuto, balanced_residue
+    from .intmat import det
+    from .reconstruction import GridMap
+
     if m < 3:
         raise InputError("modulus too small")
     if n < 2:
@@ -138,6 +133,8 @@ def generate_map(n: int, m: int, seed: int, kind: str) -> GridMap:
 
 
 def _cmd_gen(args) -> int:
+    from .fileformat import emit_torusmap
+
     f = generate_map(args.n, args.m, args.seed, args.kind)
     _write_text(args.out, emit_torusmap(f))
     return 0
@@ -167,6 +164,10 @@ def _witness_report(witness: Witness, n: int, m: int, f: GridMap) -> str:
 
 
 def _cmd_reconstruct(args) -> int:
+    from .affine import AffineTorusAuto
+    from .fileformat import parse_torusmap
+    from .reconstruction import NonaffineCollineationError, infer_affine
+
     f = parse_torusmap(_read_text(args.file))
     try:
         verdict = infer_affine(f)
@@ -187,6 +188,8 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_intersect(args) -> int:
+    from .geometry import intersection_count_2d, intersection_points
+
     l1 = _line_from_args(args.dir1, args.base1)
     l2 = _line_from_args(args.dir2, args.base2)
     result = intersection_count_2d(l1, l2)
@@ -206,6 +209,8 @@ def _cmd_intersect(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .geometry import grid_oracle_count
+
     l1 = _line_from_args(args.dir1, args.base1)
     l2 = _line_from_args(args.dir2, args.base2)
     count = grid_oracle_count(l1, l2, max_denominator=args.max_denominator)
@@ -217,10 +222,18 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    from .collineation import BudgetExceededError, collineation_group
+
     if args.m < 3:
         raise InputError("modulus too small")
     start = time.perf_counter()
-    summary = collineation_group(2, args.m, workers=args.workers, budget=args.budget)
+    try:
+        summary = collineation_group(
+            2, args.m, workers=args.workers, budget=args.budget
+        )
+    except BudgetExceededError as err:
+        print(f"error: search budget exceeded after {err.nodes} nodes", file=sys.stderr)
+        return 3
     elapsed = time.perf_counter() - start
     report = (
         f"collineation_order {summary.order}\n"
@@ -237,6 +250,10 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_svg(args) -> int:
+    import json
+
+    from .svgfig import render_scene
+
     text = _read_text(args.file)
     try:
         scene = json.loads(text)
@@ -320,12 +337,10 @@ def main(argv: list[str] | None = None) -> int:
         # the interpreter's final flush of what is still buffered succeeds.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
-    except (InputError, TorusMapFormatError, SceneError, ValueError) as err:
+    except (InputError, ValueError) as err:
+        # TorusMapFormatError and SceneError are ValueErrors
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except BudgetExceededError as err:
-        print(f"error: search budget exceeded after {err.nodes} nodes", file=sys.stderr)
-        return 3
 
 
 def run() -> None:

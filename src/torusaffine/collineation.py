@@ -19,11 +19,10 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
 from math import gcd, prod
-from multiprocessing import get_context
 
 from .affine import AffineTorusAuto
-from .geometry import MAX_POINTS, RatPoint, origin
 from .intmat import identity
+from .ratpoint import MAX_POINTS, RatPoint, origin
 
 DEFAULT_NODE_BUDGET = 10**9
 
@@ -519,6 +518,8 @@ def collineation_group(
         for first in firsts:
             take(*_search_task((n, m, first, budget - total_nodes)))
     else:
+        from multiprocessing import get_context
+
         tasks = [(n, m, first, budget) for first in firsts]
         with get_context("fork").Pool(workers) as pool:
             for result in pool.imap(_search_task, tasks):

@@ -20,7 +20,7 @@ HEADER = "TORUSMAP v1"
 _SIZE_LINE = re.compile(r"n=(\d+) m=(\d+)\Z", re.ASCII)
 
 
-class TorusMapFormatError(Exception):
+class TorusMapFormatError(ValueError):
     """The document is not a well-formed TORUSMAP v1 file."""
 
 
@@ -71,7 +71,8 @@ def _slow_record(record: str, idx: int, n: int, m: int) -> int:
 def parse_torusmap(text: str) -> GridMap:
     if not text.endswith("\n"):
         raise TorusMapFormatError("missing trailing newline")
-    lines = text.split("\n")[:-1]
+    lines = text.split("\n")
+    lines.pop()  # the empty string after the final newline
     if not lines or lines[0] != HEADER:
         raise TorusMapFormatError("missing TORUSMAP v1 header")
     if len(lines) < 2:
@@ -82,16 +83,16 @@ def parse_torusmap(text: str) -> GridMap:
     n, m = int(size_match.group(1)), int(size_match.group(2))
     if n < 1 or m < 1:
         raise TorusMapFormatError("size line must be 'n=<n> m=<m>'")
-    records = lines[2:]
-    if m >= 2 and n > len(records).bit_length():
+    del lines[:2]  # the records stay, without a copy of the list
+    if m >= 2 and n > len(lines).bit_length():
         # m**n >= 2**n exceeds the record count; refuse before computing it
         raise TorusMapFormatError(
-            f"n={n} m={m} needs more than the {len(records)} records found"
+            f"n={n} m={m} needs more than the {len(lines)} records found"
         )
     expected = m**n
-    if len(records) != expected:
+    if len(lines) != expected:
         raise TorusMapFormatError(
-            f"expected {expected} records, found {len(records)}"
+            f"expected {expected} records, found {len(lines)}"
         )
     # A record spelled as emit_torusmap spells it is read by two lookups:
     # the target's head (its first n - 1 coordinates) among the m**(n-1)
@@ -102,14 +103,18 @@ def parse_torusmap(text: str) -> GridMap:
     heads = {h: i * m for i, h in enumerate(_row_heads(n, m))} if n > 1 else {}
     sources = (" ".join(p) for p in product(digits, repeat=n))
     images = []
-    for record, source in zip(records, sources):
+    for record, source in zip(lines, sources):
         head, _, tail = record.partition(" -> ")
         first, _, last = tail.rpartition(" ")
         if head == source and first in heads and last in digits:
             images.append(heads[first] + digits[last])
         else:
             images.append(_slow_record(record, len(images), n, m))
+    # The record strings and the image list go before GridMap builds its
+    # permutation check's set.
+    del lines
+    images = tuple(images)
     try:
-        return GridMap(n, m, tuple(images))
+        return GridMap(n, m, images)
     except ValueError as err:
         raise TorusMapFormatError(str(err)) from err

@@ -1,10 +1,9 @@
-"""Rational points, subtorus cosets, rational lines and block configurations
-on the torus.
+"""Subtorus cosets, rational lines and block configurations on the torus.
 
-The torus is T^n = R^n / Z^n.  Points carry reduced rational coordinates in
-[0,1).  A rank-k rational subtorus coset is stored as a canonical base point
-plus a saturated lattice basis of its tangent directions.  A rational line
-is the rank-1 case: ``{[base + t * direction] : t in R}`` with a primitive
+The torus is T^n = R^n / Z^n and its points are ``ratpoint.RatPoint``.  A
+rank-k rational subtorus coset is stored as a canonical base point plus a
+saturated lattice basis of its tangent directions.  A rational line is the
+rank-1 case: ``{[base + t * direction] : t in R}`` with a primitive
 integer direction.  Cosets are canonicalized on construction (Hermite basis,
 base moved to the canonical transversal slice), so two cosets are equal as
 sets exactly when they compare equal structurally.  Counting questions
@@ -26,54 +25,7 @@ from typing import Sequence
 from .intmat import Matrix, det, from_columns, scaled as _scaled
 from .intmat import frac_matvec  # noqa: F401  (wrapped by name in bench/layers.py)
 from .lattice import LatticeBasis, basis_frames, primitive_part, snf_decomposition
-
-# The most points built or listed: the default oracle grid denominator, the
-# longest intersection `intersect` prints, the largest grid `gen` emits, the
-# most strokes `svg` draws for one line and the most congruence solutions
-# built.  Larger inputs are refused with exit 2.
-MAX_POINTS = 1_000_000
-
-
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
-
-
-def _reduced(x) -> Fraction:
-    """x mod 1 as a Fraction; a coordinate already in [0, 1) is kept, which
-    the integer test of its numerator finds without Fraction arithmetic."""
-    x = _frac(x)
-    return x if 0 <= x.numerator < x.denominator else x % 1
-
-
-@dataclass(frozen=True, slots=True)
-class RatPoint:
-    """A point of T^n; coordinates are reduced into [0,1) on construction."""
-
-    coords: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "coords", tuple(_reduced(c) for c in self.coords)
-        )
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
-
-    def __str__(self) -> str:
-        return "(" + ", ".join(str(c) for c in self.coords) + ")"
-
-
-def point(*coords) -> RatPoint:
-    """Convenience constructor: point(1, 2) etc. accepts ints, Fractions or
-    'p/q' strings."""
-    return RatPoint(tuple(Fraction(c) for c in coords))
-
-
-def origin(n: int) -> RatPoint:
-    return RatPoint((Fraction(0),) * n)
+from .ratpoint import MAX_POINTS, RatPoint, _frac
 
 
 @lru_cache(maxsize=1024)

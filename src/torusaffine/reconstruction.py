@@ -28,8 +28,8 @@ from .collineation import (
     lines_through,
     point_index,
 )
-from .geometry import RatPoint
 from .intmat import det
+from .ratpoint import RatPoint
 
 
 class NonaffineCollineationError(Exception):

@@ -14,18 +14,17 @@ from fractions import Fraction
 from .affine import AffineTorusAuto
 from .geometry import (
     IntersectionCount,
-    RatPoint,
     RationalLine,
     RationalSubtorus,
     _congruence_solve,
     _frames,
     _solution_points,
     contains_point,
-    origin,
 )
 from .intmat import frac_matvec, matvec
 from .lattice import hnf, saturate
 from .lattice import snf_decomposition  # noqa: F401  (wrapped by name in bench/layers.py)
+from .ratpoint import RatPoint, origin
 
 
 def subtorus_span(base: RatPoint, dirs) -> RationalSubtorus:

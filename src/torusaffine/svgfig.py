@@ -30,7 +30,7 @@ DEFAULT_BLOCK_STROKE = "#2a9d8f"
 MAX_STROKES = 10**4
 
 
-class SceneError(Exception):
+class SceneError(ValueError):
     """The scene description cannot be drawn."""
 
 

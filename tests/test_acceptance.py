@@ -33,7 +33,6 @@ from torusaffine.geometry import (
     is_block,
     line_hyperplane_count,
     line_through,
-    origin,
 )
 from torusaffine.intmat import from_columns
 from torusaffine.lattice import (
@@ -43,6 +42,7 @@ from torusaffine.lattice import (
     saturate,
     smith_invariants,
 )
+from torusaffine.ratpoint import origin
 from torusaffine.reconstruction import GridMap, Witness, check_paper_properties
 from torusaffine.subtorus import (
     RationalSubtorus,

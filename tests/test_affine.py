@@ -3,7 +3,7 @@
 import pytest
 
 from torusaffine.affine import AffineTorusAuto, balanced_residue
-from torusaffine.geometry import origin, point
+from torusaffine.ratpoint import origin, point
 
 
 def test_balanced_residue():

@@ -5,12 +5,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from time import perf_counter
 
 import pytest
 
+import torusaffine
 from torusaffine.cli import generate_map, main
 from torusaffine.collineation import (
     canonical_generator,
@@ -24,6 +26,8 @@ from torusaffine.fileformat import (
 )
 from torusaffine.geometry import grid_oracle_count, line_through
 from torusaffine.reconstruction import GridMap
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -85,6 +89,23 @@ def test_parse_rejects_tiny_modulus():
     )
     with pytest.raises(TorusMapFormatError, match="modulus too small"):
         parse_torusmap(text)
+
+
+def test_parse_memory_peak():
+    # A (2, 256) table is 1.0 MB of text and 65536 record strings.  The
+    # parse drops the header lines in place and lets the records go before
+    # GridMap's permutation check: a 7.5 MB peak, where a copy of the line
+    # list kept alive through the check peaked at 11.2 MB.
+    images = tuple(range(256 * 256))
+    text = emit_torusmap(GridMap(2, 256, images))
+    tracemalloc.start()
+    try:
+        f = parse_torusmap(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f.images == images
+    assert peak < 9_000_000
 
 
 # --------------------------------------------------------------- gen
@@ -288,8 +309,7 @@ def test_closed_stdin_exits_2(capsys, monkeypatch, command):
 def test_gen_into_closed_pipe_exits_2_without_traceback():
     # About 1 MB of output against a 64 kB pipe: gen is still writing
     # when the reader goes away.
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.Popen(
         [sys.executable, "-m", "torusaffine.cli", "gen", "--n", "2", "--m", "256"],
         stdout=subprocess.PIPE,
@@ -414,8 +434,8 @@ def test_search_refuses_oversized_table(capsys):
 
 def test_search_budget_flag(capsys):
     code, out, err = run(capsys, "search", "--m", "5", "--budget", "50")
-    assert code == 3
-    assert "budget exceeded" in err
+    assert (code, out) == (3, "")
+    assert err == "error: search budget exceeded after 51 nodes\n"
 
 
 # --------------------------------------------------------------- svg
@@ -506,3 +526,105 @@ def test_svg_bounds_the_whole_scene(tmp_path, capsys):
     # from the corner (0, 0), a (99, 1) line is 99 strokes, not 100
     code, out, _ = run(capsys, "svg", scene([99, 1], 10))
     assert code == 0 and out.count("<line") == 10 * 99
+
+
+# ---------------------------------------------------------- start-up
+
+EXPORTS = [
+    "AffineTorusAuto", "BudgetExceededError", "ComponentDecomposition",
+    "DiscreteLine", "GridMap", "GroupSummary", "IntersectionCount",
+    "LatticeBasis", "NonaffineCollineationError", "PropertyReport", "RatPoint",
+    "RationalLine", "RationalSubtorus", "SceneError", "TorusMapFormatError",
+    "Witness", "affine_group_order", "are_parallel", "block_criterion",
+    "build_incidence", "canonical_generator", "check_paper_properties",
+    "collineation_group", "contains_point", "emit_torusmap",
+    "enumerate_discrete_lines", "grid_oracle_count", "hnf", "image_subtorus",
+    "infer_affine", "intersect_subtori", "intersection_count_2d",
+    "intersection_points", "is_affine_perm", "is_block", "is_primitive",
+    "is_unimodular", "line_as_subtorus", "line_grid_points",
+    "line_hyperplane_count", "line_points", "line_subtorus_count",
+    "line_through", "lines_through", "origin", "parse_torusmap", "point",
+    "primitive_lift", "primitive_part", "quotient_project", "render_scene",
+    "saturate", "smith_invariants", "snf_decomposition", "subtorus_span",
+    "verify_line_preserving",
+]
+
+
+def fresh_python(*args) -> str:
+    """stdout of a new interpreter that finds the package under src."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_package_exports():
+    assert len(EXPORTS) == 56
+    assert torusaffine.__all__ == EXPORTS
+    for name in EXPORTS:
+        value = getattr(torusaffine, name)
+        assert getattr(sys.modules[value.__module__], name) is value, name
+    namespace = {}
+    exec("from torusaffine import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == EXPORTS
+    assert set(EXPORTS) <= set(dir(torusaffine))
+    with pytest.raises(AttributeError):
+        torusaffine.no_such_name
+
+
+def test_package_exports_load_on_first_use():
+    script = """
+import sys
+import torusaffine
+assert not [m for m in sys.modules if m.startswith("torusaffine.")]
+from torusaffine import affine, collineation, fileformat, geometry, lattice, reconstruction, subtorus
+assert geometry.line_through is torusaffine.line_through
+# the submodule ratpoint is loaded by now; the name point is still the function
+from torusaffine import RatPoint, point
+assert point(1, 2) == RatPoint((1, 2))
+print("ok")
+"""
+    assert fresh_python("-c", script) == "ok\n"
+
+
+FOOTPRINT = """
+import runpy, sys
+sys.argv[0] = "torusaffine"
+try:
+    runpy.run_module("torusaffine.cli", run_name="__main__")
+except SystemExit as exit:
+    assert exit.code == 0, exit.code
+print(" ".join(sorted(sys.modules)))
+"""
+
+# What only intersect, oracle and svg need, and the search pool
+NOT_FOR_GRID_COMMANDS = {
+    "torusaffine.geometry",
+    "torusaffine.lattice",
+    "torusaffine.subtorus",
+    "torusaffine.svgfig",
+    "multiprocessing",
+}
+
+
+def footprint(*argv) -> set[str]:
+    """The modules a fresh interpreter holds after running one subcommand."""
+    return set(fresh_python("-c", FOOTPRINT, *argv).split())
+
+
+def test_grid_commands_load_only_their_modules(tmp_path):
+    table = tmp_path / "table.txt"
+    for argv in (
+        ("gen", "--m", "16", "--out", table),
+        ("reconstruct", table, "--out", tmp_path / "verdict.txt"),
+    ):
+        loaded = footprint(*argv)
+        assert {"torusaffine.fileformat", "torusaffine.reconstruction"} <= loaded
+        assert not loaded & NOT_FOR_GRID_COMMANDS, argv[0]
+    assert (tmp_path / "verdict.txt").read_text().startswith("AFFINE\n")
+    loaded = footprint("search", "--m", "3", "--workers", "1", "--out", tmp_path / "s")
+    assert "torusaffine.collineation" in loaded
+    assert not loaded & NOT_FOR_GRID_COMMANDS
+    assert not loaded & {"torusaffine.fileformat", "torusaffine.reconstruction"}

@@ -363,7 +363,7 @@ def test_workers_are_clamped_to_cpu_count(monkeypatch):
     class Context:
         Pool = SerialPool
 
-    monkeypatch.setattr(collineation, "get_context", lambda method: Context)
+    monkeypatch.setattr("multiprocessing.get_context", lambda method: Context)
     got = collineation_group(2, 3, workers=10**6)
     assert got.order == 432
     assert all(size <= (os.cpu_count() or 1) for size in sizes)

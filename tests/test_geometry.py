@@ -25,9 +25,8 @@ from torusaffine.geometry import (
     line_grid_points,
     line_hyperplane_count,
     line_through,
-    origin,
-    point,
 )
+from torusaffine.ratpoint import origin, point
 from torusaffine.intmat import matvec
 
 

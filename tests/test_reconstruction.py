@@ -24,8 +24,9 @@ from torusaffine.collineation import (
     collineation_group,
     is_affine_perm,
 )
-from torusaffine.geometry import RatPoint, is_block, origin
+from torusaffine.geometry import is_block
 from torusaffine.intmat import det, identity
+from torusaffine.ratpoint import RatPoint, origin
 from torusaffine.reconstruction import (
     GridMap,
     NonaffineCollineationError,

@@ -18,10 +18,9 @@ from torusaffine.affine import AffineTorusAuto
 from torusaffine.geometry import (
     intersection_count_2d,
     line_through,
-    origin,
-    point,
 )
 from torusaffine.lattice import hnf
+from torusaffine.ratpoint import origin, point
 from torusaffine.subtorus import (
     ComponentDecomposition,
     RationalSubtorus,
