@@ -17,15 +17,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
-from math import lcm
+from itertools import permutations
+from math import lcm, prod
 from operator import mul
 from typing import Sequence
 
 from .intmat import Matrix, det, from_columns, scaled as _scaled
 from .intmat import frac_matvec  # noqa: F401  (wrapped by name in bench/layers.py)
 from .lattice import LatticeBasis, basis_frames, primitive_part, snf_decomposition
-from .ratpoint import MAX_POINTS, RatPoint, _frac
+from .ratpoint import MAX_POINTS, RatPoint, _canonical, _frac
 
 
 @lru_cache(maxsize=1024)
@@ -67,7 +67,7 @@ class RationalSubtorus:
         den, nums = _scaled(self.base.coords)
         split = [sum(map(mul, row, nums)) for row in u_inv[k:]]
         base = tuple(Fraction(sum(map(mul, row[k:], split)) % den, den) for row in u)
-        object.__setattr__(self, "base", RatPoint(base))
+        object.__setattr__(self, "base", _canonical(base))
 
     @property
     def dim(self) -> int:
@@ -105,12 +105,13 @@ class RationalLine(RationalSubtorus):
 def line_through(p: RatPoint | Sequence, direction: Sequence[int]) -> RationalLine:
     """The rational line through p with the given nonzero integer direction.
 
-    Raises ValueError("no direction") for the zero vector.
+    Raises ValueError("no direction") for the zero vector and
+    ValueError("direction entries must be integers") for a fractional entry.
     """
-    if all(int(x) == 0 for x in direction):
+    if not any(direction):
         raise ValueError("no direction")
     base = p if isinstance(p, RatPoint) else RatPoint(tuple(_frac(c) for c in p))
-    return RationalLine(base=base, direction=tuple(int(x) for x in direction))
+    return RationalLine(base=base, direction=direction)
 
 
 def contains_point(s: RationalSubtorus, p: RatPoint) -> bool:
@@ -125,64 +126,50 @@ def contains_point(s: RationalSubtorus, p: RatPoint) -> bool:
     return all(sum(map(mul, row, delta)) % den == 0 for row in u_inv[s.rank :])
 
 
-def _congruence_solve(columns, target, want_solutions: bool = True):
+def _congruence_solve(columns, target):
     """Solve M x = target (mod Z^n) for the column matrix M.
 
-    Returns None when unsolvable; otherwise (count, scaled, kernel) where
-    count is the product of the nonzero Smith invariants of M, kernel is an
-    integer basis of the solutions of M x = 0, and scaled is (denom, sols)
-    with the particular solutions x (one per residue class) given as
-    integer tuples over the common denominator denom — or None when the
-    caller only needs the count; more than MAX_POINTS solutions raise
-    ValueError.  It runs on scaled integers: with target = t / den and
-    d = u M v, the system reads d y = u t / den (mod Z^n) in y = v^-1 x.
+    Returns None when unsolvable; otherwise (count, (denom, x0, steps),
+    kernel): count is the product of the nonzero Smith invariants q_j of M,
+    kernel an integer basis of the solutions of M x = 0, and the solutions,
+    one per residue class, are (x0 + sum_j w_j s_j) / denom for the residue
+    steps (q_j, s_j) with q_j > 1 and 0 <= w_j < q_j.  It runs on scaled
+    integers: with target = t / den and d = u M v, the system reads
+    d y = u t / den (mod Z^n) in y = v^-1 x.
     """
-    n = len(target)
-    mat = from_columns(columns)
-    d, u, v = snf_decomposition(mat)
-    invariants = [d[i][i] for i in range(min(n, len(columns))) if d[i][i] != 0]
+    d, u, v = snf_decomposition(from_columns(columns))
+    invariants = [d[i][i] for i in range(min(len(d), len(v))) if d[i][i] != 0]
     r = len(invariants)
     den, t = _scaled(target)
     e = [sum(map(mul, row, t)) for row in u]
     if any(x % den for x in e[r:]):
         return None
-    count = 1
-    for q in invariants:
-        count *= q
-    width = len(columns)
-    kernel = [tuple(v[i][j] for i in range(width)) for j in range(r, width)]
-    if not want_solutions:
-        return count, None, kernel
-    if count > MAX_POINTS:
-        raise ValueError(f"{count} solutions, more than {MAX_POINTS} to build")
-    # y_j = (e_j / den + w_j) / q_j for residues w_j in range(q_j).
+    cols = tuple(zip(*v))
+    # y_j = (e_j / den + w_j) / q_j and x = v . (y, 0); map stops at y's end.
     denom = den * lcm(*invariants)
-    bases = [x * (denom // (den * q)) for q, x in zip(invariants, e)]
-    steps = [denom // q for q in invariants]
-    sols = []
-    for residues in product(*(range(q) for q in invariants)):
-        y = [b + w * s for b, w, s in zip(bases, residues, steps)]
-        # x = v . (y, 0): map stops at the r entries of y.
-        sols.append(tuple(sum(map(mul, row, y)) for row in v))
-    return count, (denom, sols), kernel
+    y0 = [x * (denom // (den * q)) for q, x in zip(invariants, e)]
+    x0 = tuple(sum(map(mul, row, y0)) for row in v)
+    pairs = zip(invariants, cols)
+    steps = [(q, tuple(denom // q * c for c in col)) for q, col in pairs if q > 1]
+    return prod(invariants), (denom, x0, steps), cols[r:]
 
 
-def _solution_points(base: RatPoint, vectors, denom: int, sols):
-    """The distinct points base + sum_j (x_j / denom) vectors[j] (mod 1),
-    one per solution x of :func:`_congruence_solve` (its first
-    len(vectors) entries), as (scale, set of integer tuples) over one common
-    denominator; tuple order is the order of the points' coordinates."""
+def _solution_coset(base: RatPoint, vectors, solution):
+    """The points base + sum_j (x_j / denom) vectors[j] (mod 1) over the
+    solutions x of :func:`_congruence_solve` (their first len(vectors)
+    entries), scaled to integers: (scale, p0, gens) with the points
+    p0 + sum_j w_j g_j (mod scale) for (q_j, g_j) in gens, 0 <= w_j < q_j."""
+    denom, x0, steps = solution
     den, nums = _scaled(base.coords)
     scale = lcm(den, denom)
     lift = scale // den
     mult = scale // denom
     # Each row of the vectors' matrix has len(vectors) entries, so map()
     # reads only those leading entries of x.
-    rows = [(b * lift, row) for b, row in zip(nums, from_columns(vectors))]
-    return scale, {
-        tuple((b + mult * sum(map(mul, row, x))) % scale for b, row in rows)
-        for x in sols
-    }
+    mat = from_columns(vectors)
+    p0 = tuple(b * lift + mult * sum(map(mul, row, x0)) for b, row in zip(nums, mat))
+    gens = [(q, tuple(mult * sum(map(mul, row, s)) for row in mat)) for q, s in steps]
+    return scale, p0, gens
 
 
 def are_parallel(l1: RationalLine, l2: RationalLine) -> bool:
@@ -249,10 +236,19 @@ def intersection_points(l1: RationalLine, l2: RationalLine) -> tuple[RatPoint, .
     solved = _congruence_solve(columns, target)
     if solved is None:
         return ()
-    _, (denom, sols), _ = solved
-    scale, found = _solution_points(l1.base, [v1], denom, sols)
+    count, solution, _ = solved
+    if count > MAX_POINTS:
+        raise ValueError(f"{count} solutions, more than {MAX_POINTS} to build")
+    scale, p0, gens = _solution_coset(l1.base, [v1], solution)
+    found = {tuple(c % scale for c in p0)}
+    for q, g in gens:
+        found = {
+            tuple((a + w * b) % scale for a, b in zip(p, g))
+            for p in found
+            for w in range(q)
+        }
     return tuple(
-        RatPoint(tuple(Fraction(c, scale) for c in p)) for p in sorted(found)
+        _canonical(tuple(Fraction(c, scale) for c in p)) for p in sorted(found)
     )
 
 

@@ -40,6 +40,14 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
+def _integer(x) -> int:
+    """x as an int; ValueError when x has a fractional part."""
+    i = int(x)
+    if i != x:
+        raise ValueError("direction entries must be integers")
+    return i
+
+
 def primitive_part(v: Sequence[int]) -> tuple[IntVec, int]:
     """Split v into (prim, content) with prim primitive and sign-canonical.
 
@@ -47,9 +55,10 @@ def primitive_part(v: Sequence[int]) -> tuple[IntVec, int]:
     ``content`` is the positive gcd of the entries of v.  Consequently
     ``content * prim`` equals ``v`` up to the overall sign that the
     canonicalization may flip: it is ``+v`` exactly when the first nonzero
-    entry of v is positive and ``-v`` otherwise.
+    entry of v is positive and ``-v`` otherwise.  A fractional entry raises
+    ValueError.
     """
-    vec = tuple(int(x) for x in v)
+    vec = tuple(map(_integer, v))
     g = 0
     for x in vec:
         g = gcd(g, x)
@@ -142,9 +151,10 @@ def hnf(vectors: Iterable[Sequence[int]]) -> LatticeBasis:
     """Canonical Hermite basis of the lattice generated by ``vectors``.
 
     Dependent or repeated generators are fine; they are absorbed into the
-    reduction.  An all-zero generating set yields the rank-0 basis.
+    reduction.  An all-zero generating set yields the rank-0 basis; a
+    fractional entry raises ValueError.
     """
-    vecs = [list(int(x) for x in v) for v in vectors]
+    vecs = [list(map(_integer, v)) for v in vectors]
     if not vecs:
         raise ValueError("empty generating set")
     n = len(vecs[0])
@@ -162,6 +172,12 @@ def _minors_gcd(basis: Sequence[Sequence[int]]) -> int:
     product of their Smith invariants: the entries' gcd at rank 1, |det|
     at full rank.  Stops early once the gcd reaches 1."""
     k = len(basis)
+    if k == 1:
+        return gcd(*basis[0])
+    if k == 2:
+        a, b = basis
+        pairs = combinations(range(len(a)), 2)
+        return gcd(*(a[i] * b[j] - a[j] * b[i] for i, j in pairs))
     g = 0
     for cols in combinations(range(len(basis[0])), k):
         g = gcd(g, det([[v[c] for c in cols] for v in basis]))
@@ -180,7 +196,82 @@ def is_unimodular(mat: Sequence[Sequence[int]]) -> bool:
 
 
 def _eye(n: int) -> list[list[int]]:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
+    return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
+
+
+def _smith(mat: Sequence[Sequence[int]], track_inverse: bool):
+    """The Smith reduction of :func:`snf_decomposition` as lists of rows
+    (a, u, vt, ut): vt is v transposed, and ut is u^-1 transposed, kept by
+    the inverse of each row operation on u, when ``track_inverse``."""
+    nrows = len(mat)
+    ncols = len(mat[0]) if nrows else 0
+    a = [list(map(int, row)) for row in mat]
+    u = _eye(nrows)
+    vt = _eye(ncols)
+    ut = _eye(nrows) if track_inverse else None
+    # Row operations act on a and u, column operations on a and v; row swaps
+    # and sign flips are their own inverses, so they act on ut alike.
+    alike = (a, u) if ut is None else (a, u, ut)
+    for t in range(min(nrows, ncols)):
+        # deterministic pivot: least |value|, ties broken by position
+        best, least = None, 0
+        for i in range(t, nrows):
+            row = a[i]
+            for j in range(t, ncols):
+                x = abs(row[j])
+                if x and (best is None or x < least):
+                    best, least = (i, j), x
+        if best is None:
+            break
+        i, j = best
+        if i != t:
+            for rows in alike:
+                rows[t], rows[i] = rows[i], rows[t]
+        if j != t:
+            for row in a:
+                row[t], row[j] = row[j], row[t]
+            vt[t], vt[j] = vt[j], vt[t]
+        while True:
+            # a sweep that leaves row or column t nonzero has swapped: unstable
+            stable = True
+            for i in range(t + 1, nrows):
+                if a[i][t]:
+                    q = a[i][t] // a[t][t]
+                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+                    u[i] = [x - q * y for x, y in zip(u[i], u[t])]
+                    if ut is not None:
+                        ut[t] = [x + q * y for x, y in zip(ut[t], ut[i])]
+                    if a[i][t]:
+                        for rows in alike:
+                            rows[t], rows[i] = rows[i], rows[t]
+                        stable = False
+            for j in range(t + 1, ncols):
+                if a[t][j]:
+                    q = a[t][j] // a[t][t]
+                    for row in a:
+                        row[j] -= q * row[t]
+                    vt[j] = [x - q * y for x, y in zip(vt[j], vt[t])]
+                    if a[t][j]:
+                        for row in a:
+                            row[t], row[j] = row[j], row[t]
+                        vt[t], vt[j] = vt[j], vt[t]
+                        stable = False
+            if stable:
+                # enforce the divisor chain before moving on
+                pivot = a[t][t]
+                rest = range(t + 1, nrows)
+                chain = (i for i in rest if any(x % pivot for x in a[i][t + 1 :]))
+                offender = next(chain, None)
+                if offender is None:
+                    break
+                a[t] = [x + y for x, y in zip(a[t], a[offender])]
+                u[t] = [x + y for x, y in zip(u[t], u[offender])]
+                if ut is not None:
+                    ut[offender] = [x - y for x, y in zip(ut[offender], ut[t])]
+        if a[t][t] < 0:
+            for rows in alike:
+                rows[t] = [-x for x in rows[t]]
+    return a, u, vt, ut
 
 
 def snf_decomposition(
@@ -192,73 +283,8 @@ def snf_decomposition(
     divisor chain and u, v are unimodular.  The pivot strategy is fixed so
     the decomposition is deterministic.
     """
-    nrows = len(mat)
-    ncols = len(mat[0]) if nrows else 0
-    a = [list(int(x) for x in row) for row in mat]
-    u = _eye(nrows)
-    v = _eye(ncols)
-    # Row operations act on a and u, column operations on a and v.
-    t = 0
-    while t < min(nrows, ncols):
-        # deterministic pivot: least |value|, ties broken by position
-        best = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                x = a[i][j]
-                if x != 0 and (best is None or abs(x) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        i, j = best
-        if i != t:
-            a[t], a[i] = a[i], a[t]
-            u[t], u[i] = u[i], u[t]
-        if j != t:
-            for row in (*a, *v):
-                row[t], row[j] = row[j], row[t]
-        while True:
-            stable = True
-            for i in range(t + 1, nrows):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[t])]
-                    if a[i][t]:
-                        a[t], a[i] = a[i], a[t]
-                        u[t], u[i] = u[i], u[t]
-                        stable = False
-            for j in range(t + 1, ncols):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    for row in (*a, *v):
-                        row[j] -= q * row[t]
-                    if a[t][j]:
-                        for row in (*a, *v):
-                            row[t], row[j] = row[j], row[t]
-                        stable = False
-            if stable and all(a[i][t] == 0 for i in range(t + 1, nrows)) and all(
-                a[t][j] == 0 for j in range(t + 1, ncols)
-            ):
-                # enforce the divisor chain before moving on
-                offender = None
-                for i in range(t + 1, nrows):
-                    for j in range(t + 1, ncols):
-                        if a[i][j] % a[t][t] != 0:
-                            offender = i
-                            break
-                    if offender is not None:
-                        break
-                if offender is None:
-                    break
-                a[t] = [x + y for x, y in zip(a[t], a[offender])]
-                u[t] = [x + y for x, y in zip(u[t], u[offender])]
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-
-    freeze = lambda m_: tuple(tuple(row) for row in m_)
-    return freeze(a), freeze(u), freeze(v)
+    a, u, vt, _ = _smith(mat, False)
+    return tuple(map(tuple, a)), tuple(map(tuple, u)), tuple(zip(*vt))
 
 
 def smith_invariants(mat: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -311,21 +337,21 @@ def basis_frames(basis: LatticeBasis) -> tuple[Matrix, Matrix]:
     only saturated bases extend, and for those the Smith invariants are all
     1 and the construction always succeeds.  It is a fixed deterministic
     function of the basis, which is what the canonical-form machinery built
-    on top of it needs.  U^-1 comes from one Smith decomposition
-    d = u . B . v of the basis matrix B: d = [I ; 0], so
-    U^-1 = diag(v, I) . u = [v . u[:k] ; u[k:]] sends B to [I ; 0]; U is its
-    exact inverse (:func:`matrix_inverse`).
+    on top of it needs.  Both come from one Smith reduction u . B . v =
+    [I ; 0] of the basis matrix B, with u^-1 tracked alongside u:
+    U^-1 = diag(v, I) . u = [v . u[:k] ; u[k:]] sends B to [I ; 0], and
+    U = u^-1 . diag(v^-1, I) = [B | u^-1[:, k:]].
     """
     if not basis.saturated:
         raise ValueError("saturated basis required")
     k = basis.rank
     if k == 0:
         raise ValueError("rank-0 basis has no stored ambient dimension")
-    d, u, v = snf_decomposition(from_columns(basis.vectors))
+    d, u, vt, ut = _smith(from_columns(basis.vectors), True)
     if any(d[i][i] != 1 for i in range(k)):
         raise ValueError("columns do not form a saturated basis")
-    inverse = matmul(v, u[:k]) + u[k:]
-    return matrix_inverse(inverse), inverse
+    inverse = matmul(tuple(zip(*vt)), u[:k]) + tuple(map(tuple, u[k:]))
+    return tuple(zip(*basis.vectors, *ut[k:])), inverse
 
 
 def saturate(basis: LatticeBasis | Iterable[Sequence[int]]) -> LatticeBasis:
@@ -342,14 +368,11 @@ def saturate(basis: LatticeBasis | Iterable[Sequence[int]]) -> LatticeBasis:
     if not vecs:
         return LatticeBasis(vectors=(), saturated=True)
     k = len(vecs)
-    mat = from_columns(vecs)
-    d, _, v = snf_decomposition(mat)
-    if sum(1 for i in range(min(len(mat), k)) if d[i][i] != 0) != k:
+    d, _, _, ut = _smith(from_columns(vecs), True)
+    if sum(1 for i in range(min(len(d), k)) if d[i][i] != 0) != k:
         raise ValueError("basis vectors are dependent")
-    # d = u . B . v gives B . v = u^-1 . d, so column j of B . v over d_j is
-    # column j of the unimodular u^-1; the first k of them span the
-    # saturation.
-    bv = matmul(mat, v)
-    out = hnf([tuple(row[j] // d[j][j] for row in bv) for j in range(k)])
+    # d = u . B . v gives B . v = u^-1 . d, so the first k columns of the
+    # unimodular u^-1 span B's rational span, and their lattice is saturated.
+    out = hnf(ut[:k])
     assert out.saturated
     return out

@@ -45,6 +45,13 @@ class RatPoint:
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
 
 
+def _canonical(coords: tuple[Fraction, ...]) -> RatPoint:
+    """A RatPoint on coordinates already in [0, 1), kept as they are."""
+    p = object.__new__(RatPoint)
+    object.__setattr__(p, "coords", coords)
+    return p
+
+
 def point(*coords) -> RatPoint:
     """Convenience constructor: point(1, 2) etc. accepts ints, Fractions or
     'p/q' strings."""

@@ -18,13 +18,13 @@ from .geometry import (
     RationalSubtorus,
     _congruence_solve,
     _frames,
-    _solution_points,
+    _solution_coset,
     contains_point,
 )
 from .intmat import frac_matvec, matvec
-from .lattice import hnf, saturate
+from .lattice import _row_hnf, hnf, saturate
 from .lattice import snf_decomposition  # noqa: F401  (wrapped by name in bench/layers.py)
-from .ratpoint import RatPoint, origin
+from .ratpoint import RatPoint, _canonical, origin
 
 
 def subtorus_span(base: RatPoint, dirs) -> RationalSubtorus:
@@ -45,26 +45,22 @@ def line_subtorus_count(line: RationalLine, s: RationalSubtorus) -> Intersection
     when the line lies inside it, otherwise an exact finite count."""
     if line.base.dim != s.dim:
         raise ValueError("dimension mismatch")
-    _, u_inv = _frames(s.lattice)
-    split = matvec(u_inv, line.direction)
-    if all(x == 0 for x in split[s.rank :]):
-        if contains_point(s, line.base):
-            return IntersectionCount.infinite()
-        return IntersectionCount.finite(0)
     columns = [line.direction] + [tuple(-a for a in v) for v in s.lattice.vectors]
     target = tuple(b - a for a, b in zip(line.base.coords, s.base.coords))
-    solved = _congruence_solve(columns, target, want_solutions=False)
+    solved = _congruence_solve(columns, target)
     if solved is None:
         return IntersectionCount.finite(0)
-    return IntersectionCount.finite(solved[0])
+    # a solution with a kernel means the line runs inside the coset
+    count, _, kernel = solved
+    return IntersectionCount.infinite() if kernel else IntersectionCount.finite(count)
 
 
 @dataclass(frozen=True, slots=True)
 class ComponentDecomposition:
     """The pieces of a nonempty intersection of two subtorus cosets: how
     many parallel components there are, their common dimension, and the
-    component through the smallest point the solver found (a bare point
-    when the intersection is finite)."""
+    component through the lexicographically least intersection point (a
+    bare point when the intersection is finite)."""
 
     component_count: int
     common_dimension: int
@@ -85,10 +81,18 @@ def intersect_subtori(
     solved = _congruence_solve(columns, target)
     if solved is None:
         return None
-    count, (denom, sols), kernel = solved
-    scale, points = _solution_points(s1.base, s1.lattice.vectors, denom, sols)
-    best = min(points)
-    anchor = RatPoint(tuple(Fraction(c, scale) for c in best))
+    count, solution, kernel = solved
+    scale, best, gens = _solution_coset(s1.base, s1.lattice.vectors, solution)
+    # As q_j g_j = 0 (mod scale), the points are the coset of best modulo
+    # the lattice of the gens and scale Z^n.  Its row Hermite form has row
+    # i's pivot in column i, so reducing coordinate i into [0, pivot) by
+    # row i, in order, leaves the lexicographically least point.
+    rows = [list(g) for _, g in gens]
+    rows += ([0] * i + [scale] + [0] * (s1.dim - 1 - i) for i in range(s1.dim))
+    for i, row in enumerate(_row_hnf(rows)):
+        q = best[i] // row[i]
+        best = [x - q * y for x, y in zip(best, row)]
+    anchor = _canonical(tuple(Fraction(c, scale) for c in best))
 
     basis_matrix = s1.lattice.matrix()
     kernel_images = [matvec(basis_matrix, coeffs[:k1]) for coeffs in kernel]

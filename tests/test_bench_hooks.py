@@ -7,9 +7,12 @@ for it (some are kept only for that, marked ``# noqa: F401``).  Installing
 and removing the probes here catches a deleted name at once.  Its witness
 probe reads the incidence table's ``lines`` and ``pair_lines`` and a
 witness's ``points``, ``line.base`` and ``line.generator``; no test runs
-that probe, so the check below reads the same attributes.
+that probe, so the check below reads the same attributes.  The geometry
+queries' answers are pinned by one digest, so a refactor of the exact
+kernel that moves a canonical frame, base, count or representative shows.
 """
 
+import hashlib
 import random
 import sys
 from pathlib import Path
@@ -57,3 +60,23 @@ def test_witness_probe_reads_incidence_sizes_and_witness_line():
     assert tables.check_witness(
         verdict.points, verdict.line.base, verdict.line.generator, n, m, images
     )
+
+
+# sha256 of the reprs of the first 2000 seed-1 query answers, one per line,
+# computed at commit 16dedf9 (frames by matrix inverse, least point by
+# listing every solution).
+QUERY_DIGEST = "8d1ef79fd46da0447c5e13c6168e8c1d6b92e4b94395d51260e85bd0b7873331"
+
+
+def test_query_answers_match_pinned_digest():
+    sys.path.insert(0, str(BENCH))
+    try:
+        import queries
+    finally:
+        sys.path.remove(str(BENCH))
+    digest = hashlib.sha256()
+    for kind, args in queries.QueryStream(1).batch(2000):
+        result = queries.run(kind, args)
+        assert queries.check(kind, args, result), (kind, args)
+        digest.update(repr(result).encode() + b"\n")
+    assert digest.hexdigest() == QUERY_DIGEST

@@ -5,6 +5,7 @@ The derived expectations here were frozen from the grid-enumeration oracle
 sets), written before the closed-form code it certifies.
 """
 
+import time
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -77,6 +78,13 @@ def test_point_reduction():
 def test_line_through_zero_direction():
     with pytest.raises(ValueError, match="no direction"):
         line_through(origin(2), (0, 0))
+
+
+def test_line_through_refuses_fractional_direction():
+    # int() would truncate (3/2, 1) to the direction (1, 1)
+    with pytest.raises(ValueError, match="direction entries must be integers"):
+        line_through((0, 0), (Fraction(3, 2), 1))
+    assert line_through((0, 0), (Fraction(4, 2), 2.0)).direction == (1, 1)
 
 
 def test_line_canonicalization_example():
@@ -208,6 +216,17 @@ def test_intersection_points_t3():
     l3 = line_through(point("0", "1/2", "0"), (0, 1, 0))
     pts = intersection_points(l1, l3)
     assert pts == (origin(3),)
+
+
+def test_intersection_points_refuses_huge_lists():
+    # |det| = 1000001 points: the count is known at once, so the refusal
+    # comes before any point is built
+    l1 = line_through(origin(2), (1, 0))
+    l2 = line_through(point("1/3", 0), (1, 1000001))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="1000001 solutions, more than 1000000 to build"):
+        intersection_points(l1, l2)
+    assert time.perf_counter() - start < 1.0
 
 
 # ------------------------------------------------- hyperplane counts

@@ -92,6 +92,16 @@ def test_primitive_part_zero_vector():
         primitive_part((0, 0, 0))
 
 
+def test_fractional_entries_are_refused():
+    # int() would truncate (5/2, 1) to (2, 1) and (1.7, 0) to (1, 0)
+    with pytest.raises(ValueError, match="direction entries must be integers"):
+        primitive_part((Fraction(5, 2), 1))
+    with pytest.raises(ValueError, match="direction entries must be integers"):
+        hnf([(1.7, 0, 0), (0, 2, 0)])
+    assert primitive_part((Fraction(4), -2.0)) == ((2, -1), 2)
+    assert hnf([(2.0, 0), (0, Fraction(3))]) == hnf([(2, 0), (0, 3)])
+
+
 @given(st.lists(st.integers(-1000, 1000), min_size=1, max_size=5))
 def test_primitive_part_roundtrip(v):
     if all(x == 0 for x in v):

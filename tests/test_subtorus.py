@@ -5,10 +5,11 @@ oracle below (walk the coset's grid points directly) before the lattice
 arithmetic they certify existed.
 """
 
+import random
 import time
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -19,8 +20,9 @@ from torusaffine.geometry import (
     intersection_count_2d,
     line_through,
 )
-from torusaffine.lattice import hnf
-from torusaffine.ratpoint import origin, point
+from torusaffine.intmat import from_columns, matvec, scaled
+from torusaffine.lattice import hnf, saturate, snf_decomposition
+from torusaffine.ratpoint import RatPoint, origin, point
 from torusaffine.subtorus import (
     ComponentDecomposition,
     RationalSubtorus,
@@ -315,17 +317,98 @@ def test_intersect_offset_planes_t3():
         assert contains_point(s1, shifted) and contains_point(s2, shifted)
 
 
-def test_intersect_refuses_huge_solution_sets():
-    # the planes meet in 4903108 points; the count is known at once, so the
-    # refusal must come before any solution point is built
+def test_intersect_answers_huge_solution_sets():
+    # the planes meet in 4903108 points; the least of them comes from the
+    # solution coset by Hermite reduction, without listing the points
     s1 = subtorus_span(origin(4), [(-20, -12, -37, 42), (0, 11, -31, -39)])
     s2 = subtorus_span(
         point("1/2", 0, 0, "1/3"), [(-42, -48, 1, 20), (-13, 47, -43, -22)]
     )
     start = time.perf_counter()
-    with pytest.raises(ValueError, match="4903108 solutions"):
-        intersect_subtori(s1, s2)
+    dec = intersect_subtori(s1, s2)
     assert time.perf_counter() - start < 1.0
+    assert (dec.component_count, dec.common_dimension) == (4903108, 0)
+    assert contains_point(s1, dec.representative)
+    assert contains_point(s2, dec.representative)
+
+
+def listed_intersection(s1, s2):
+    """intersect_subtori as first built: solve M x = target (mod Z^n) with
+    one particular solution per residue class, list the points of s1 they
+    give and take the least as the representative's anchor."""
+    k1 = s1.rank
+    columns = list(s1.lattice.vectors) + [tuple(-a for a in v) for v in s2.lattice.vectors]
+    target = tuple(b - a for a, b in zip(s1.base.coords, s2.base.coords))
+    d, u, v = snf_decomposition(from_columns(columns))
+    invariants = [d[i][i] for i in range(min(len(d), len(v))) if d[i][i] != 0]
+    r = len(invariants)
+    den, t = scaled(target)
+    e = [sum(x * y for x, y in zip(row, t)) for row in u]
+    if any(x % den for x in e[r:]):
+        return None
+    denom = den * lcm(*invariants)
+    bases = [x * (denom // (den * q)) for q, x in zip(invariants, e)]
+    steps = [denom // q for q in invariants]
+    sols = []
+    for residues in product(*(range(q) for q in invariants)):
+        y = [b + w * s for b, w, s in zip(bases, residues, steps)]
+        sols.append(tuple(sum(x * z for x, z in zip(row, y)) for row in v))
+    bden, nums = scaled(s1.base.coords)
+    scale = lcm(bden, denom)
+    rows = from_columns(s1.lattice.vectors)
+    points = {
+        tuple(
+            (b * (scale // bden) + scale // denom * sum(c * z for c, z in zip(row, x)))
+            % scale
+            for b, row in zip(nums, rows)
+        )
+        for x in sols
+    }
+    anchor = RatPoint(tuple(Fraction(c, scale) for c in min(points)))
+    kernel = [tuple(row[j] for row in v) for j in range(r, len(v))]
+    images = [matvec(rows, coeffs[:k1]) for coeffs in kernel]
+    if not images:
+        return len(sols), 0, anchor
+    tangent = saturate(hnf(images))
+    return len(sols), tangent.rank, RationalSubtorus(anchor, tangent)
+
+
+def test_least_point_matches_listing():
+    rng = random.Random(14)
+    seen = {0: 0, 1: 0}
+    for _ in range(400):
+        n = rng.choice((3, 4))
+        ranks = rng.choice([(1, 2), (2, 1), (2, 2)] if n == 3 else [(2, 2), (2, 3), (3, 2)])
+        pair = []
+        for k in ranks:
+            vecs = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(k)]
+            if saturate(hnf(vecs)).rank != k:
+                break
+            base = tuple(Fraction(rng.randrange(q), q) for q in rng.choices(range(1, 7), k=n))
+            pair.append(subtorus_span(RatPoint(base), vecs))
+        if len(pair) < 2:
+            continue
+        d = snf_decomposition(from_columns(pair[0].lattice.vectors + pair[1].lattice.vectors))[0]
+        count = 1
+        for i in range(min(len(d), len(d[0]))):
+            count *= d[i][i] or 1
+        if count > 2000:
+            continue
+        expected = listed_intersection(*pair)
+        dec = intersect_subtori(*pair)
+        if expected is None:
+            assert dec is None
+            continue
+        got = (dec.component_count, dec.common_dimension, dec.representative)
+        assert got == expected
+        seen[min(dec.common_dimension, 1)] += 1
+    assert seen[0] >= 50 and seen[1] >= 50, seen
+
+
+def test_subtorus_span_refuses_fractional_directions():
+    # int() would truncate these to the span of e1 and e2
+    with pytest.raises(ValueError, match="direction entries must be integers"):
+        subtorus_span(origin(3), [(1.7, 0, 0), (0, 2.9, 0)])
 
 
 DIRS2 = [
