@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .intmat import Matrix, det, frac_matvec, identity as identity_matrix
-from .ratpoint import RatPoint, origin
+from .ratpoint import Frozen, RatPoint, origin
 
 
 def balanced_residue(x: int, m: int) -> int:
@@ -15,8 +14,7 @@ def balanced_residue(x: int, m: int) -> int:
     return r - m if r > m // 2 else r
 
 
-@dataclass(frozen=True)
-class AffineTorusAuto:
+class AffineTorusAuto(Frozen):
     """An invertible affine self-map of the torus (or of a grid on it).
 
     With ``modulus=None`` the matrix must be unimodular and the map is an
@@ -26,31 +24,29 @@ class AffineTorusAuto:
     that grid.
     """
 
-    matrix: Matrix
-    translation: RatPoint
-    modulus: int | None = None
+    __slots__ = ("matrix", "translation", "modulus")
 
-    def __post_init__(self):
-        n = len(self.matrix)
-        if any(len(row) != n for row in self.matrix):
+    def __init__(
+        self, matrix: Matrix, translation: RatPoint, modulus: int | None = None
+    ):
+        n = len(matrix)
+        if any(len(row) != n for row in matrix):
             raise ValueError("matrix must be square")
-        if self.translation.dim != n:
+        if translation.dim != n:
             raise ValueError("translation dimension mismatch")
-        if self.modulus is None:
-            if det(self.matrix) not in (1, -1):
+        if modulus is None:
+            if det(matrix) not in (1, -1):
                 raise ValueError("matrix is not unimodular")
-            return
-        m = self.modulus
-        if m < 2:
-            raise ValueError("modulus must be at least 2")
-        reduced = tuple(
-            tuple(balanced_residue(a, m) for a in row) for row in self.matrix
-        )
-        object.__setattr__(self, "matrix", reduced)
-        if gcd(det(reduced), m) != 1:
-            raise ValueError("determinant is not a unit for this modulus")
-        if any(m % c.denominator for c in self.translation.coords):
-            raise ValueError("translation is not a grid point for this modulus")
+        else:
+            m = modulus
+            if m < 2:
+                raise ValueError("modulus must be at least 2")
+            matrix = tuple(tuple(balanced_residue(a, m) for a in row) for row in matrix)
+            if gcd(det(matrix), m) != 1:
+                raise ValueError("determinant is not a unit for this modulus")
+            if any(m % c.denominator for c in translation.coords):
+                raise ValueError("translation is not a grid point for this modulus")
+        super().__init__(matrix, translation, modulus)
 
     @property
     def dim(self) -> int:

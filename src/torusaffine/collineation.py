@@ -6,15 +6,17 @@ exactly the grid shadows of rational torus lines.  The group computation is
 exhaustive backtracking with incidence propagation, so reported orders are
 exact, never estimates.  GL_2(Z/m) fixes 0 and permutes the lines, so the
 search runs one task per orbit of the image of e1 -- one per proper divisor
-d of m, pinning e1 to (d, 0) -- and weights it by the orbit's size.
+d of m, pinning e1 to (d, 0) -- and weights it by the orbit's size.  With
+two or more workers the tasks fan out to forked children, which inherit the
+incidence structure and send their results back through pipes.
 """
 
 from __future__ import annotations
 
+import marshal
 import os
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
@@ -22,7 +24,7 @@ from math import gcd, prod
 
 from .affine import AffineTorusAuto
 from .intmat import identity
-from .ratpoint import MAX_POINTS, RatPoint, origin
+from .ratpoint import MAX_POINTS, Frozen, RatPoint, origin
 
 DEFAULT_NODE_BUDGET = 10**9
 
@@ -86,28 +88,24 @@ def line_points(
     return [tuple((b + k * g) % m for b, g in zip(base, gen)) for k in range(m)]
 
 
-@dataclass(frozen=True)
-class DiscreteLine:
+class DiscreteLine(Frozen):
     """A coset of an order-m cyclic subgroup with primitive-liftable
-    generator, stored canonically: lex-least generator, lex-least base."""
+    generator, stored canonically: lex-least generator, lex-least base.
+    ``points`` lists the line's points in order; equality ignores it."""
 
-    n: int
-    m: int
-    generator: tuple[int, ...]
-    base: tuple[int, ...]
-    points: tuple[tuple[int, ...], ...] = field(default=None, compare=False)
+    __slots__ = ("n", "m", "generator", "base", "points")
+    _uncompared = ("points",)
 
-    def __post_init__(self):
-        m = self.m
-        if len(self.generator) != self.n or len(self.base) != self.n:
+    def __init__(
+        self, n: int, m: int, generator: tuple[int, ...], base: tuple[int, ...]
+    ):
+        if len(generator) != n or len(base) != n:
             raise ValueError("dimension mismatch")
-        if gcd(*self.generator, m) != 1:
+        if gcd(*generator, m) != 1:
             raise ValueError("generator shares a factor with the modulus")
-        gen = canonical_generator(self.generator, m)
-        pts = sorted(line_points(self.base, gen, m))
-        object.__setattr__(self, "generator", gen)
-        object.__setattr__(self, "base", pts[0])
-        object.__setattr__(self, "points", tuple(pts))
+        gen = canonical_generator(generator, m)
+        pts = sorted(line_points(base, gen, m))
+        super().__init__(n, m, gen, pts[0], tuple(pts))
 
 
 def lines_through(
@@ -175,19 +173,12 @@ def enumerate_discrete_lines(
     )
 
 
-@dataclass(frozen=True)
-class IncidenceStructure:
+class IncidenceStructure(Frozen):
     """Immutable incidence data for one (n, m) grid: the lines, a point
     bitmask per line, the incident lines per point, and the lines through
-    each point pair."""
+    each point pair (a dict, so the structure has no hash)."""
 
-    n: int
-    m: int
-    size: int
-    lines: tuple[DiscreteLine, ...]
-    masks: tuple[int, ...]
-    through: tuple[tuple[int, ...], ...]
-    pair_lines: dict
+    __slots__ = ("n", "m", "size", "lines", "masks", "through", "pair_lines")
 
 
 @lru_cache(maxsize=None)
@@ -298,21 +289,16 @@ def is_affine_perm(n: int, m: int, images) -> AffineTorusAuto | None:
     return phi
 
 
-@dataclass(frozen=True)
-class GroupSummary:
+class GroupSummary(Frozen):
     """Exact collineation-group data: total order, the affine subgroup
     order and its index, the node count of the search, and permutations
     generating the group: the axis translations, generators of GL_2(Z/m)
     (`linear`), and, per divisor class, the image of e1 its task pinned
     together with the collineations fixing 0 that the task found (`tasks`)."""
 
-    order: int
-    affine_order: int
-    index: int
-    nodes: int
-    translations: tuple[tuple[int, ...], ...]
-    linear: tuple[tuple[int, ...], ...]
-    tasks: tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]
+    __slots__ = (
+        "order", "affine_order", "index", "nodes", "translations", "linear", "tasks"
+    )
 
     @property
     def generators(self) -> tuple[tuple[int, ...], ...]:
@@ -450,6 +436,44 @@ def _search_task(args):
         return None, err.nodes
 
 
+def _fork_task(task) -> tuple[int, int]:
+    """Run _search_task(task) in a forked child that writes the marshalled
+    result to a pipe and leaves by os._exit, so that it neither flushes the
+    parent's stdio nor runs its exit hooks.  Returns (pid, read end)."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read)
+            with open(write, "wb") as out:
+                out.write(marshal.dumps(_search_task(task)))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    return pid, read
+
+
+def _join_oldest(children: list[tuple[int, int]]):
+    """Read and reap the oldest child of _fork_task and drop it from
+    children; its result, or RuntimeError when it ended without one."""
+    pid, read = children[0]
+    with open(read, "rb", closefd=False) as pipe:
+        data = pipe.read()
+    _, status = os.waitpid(pid, 0)
+    children.pop(0)
+    os.close(read)
+    if status or not data:
+        raise RuntimeError("a search worker ended without a result")
+    return marshal.loads(data)
+
+
 def _gl2_generators(m: int) -> list[tuple[tuple[int, int], ...]]:
     """Generators of GL_2(Z/m): the two elementary transvections generate
     SL_2(Z/m), onto which SL_2(Z) maps, and diag(u, 1) adds the
@@ -483,12 +507,14 @@ def collineation_group(
     the translations.  A linear A maps the stabilizer elements with e1 -> f
     one-to-one onto those with e1 -> Af, so one task per proper divisor d of
     m pins e1 to (d, 0) and counts for every f with gcd(f, m) = d.
-    Deterministic for any worker count; the pool splits the work only when
-    m has two or more proper divisors.  The budget caps all tasks together:
-    one worker gives each task what is left, a pool stops at the first
-    result, in task order, that takes the total past it.  A grid whose
-    table would hold more than MAX_POINTS point pairs is refused before
-    any of it is built."""
+    Deterministic for any worker count.  With two or more workers and two
+    or more proper divisors of m, each task runs in a forked child, at most
+    `workers` at a time, and the results are folded in task order.  The
+    budget caps the folded total: one worker gives each task what is left;
+    a forked task gets the whole budget, and the first result, in task
+    order, that takes the total past it stops the search and kills the
+    children still running.  A grid whose table would hold more than
+    MAX_POINTS point pairs is refused before any of it is built."""
     if n != 2:
         raise ValueError("exhaustive search is implemented for dimension 2 only")
     size = m**n
@@ -518,12 +544,21 @@ def collineation_group(
         for first in firsts:
             take(*_search_task((n, m, first, budget - total_nodes)))
     else:
-        from multiprocessing import get_context
+        from signal import SIGKILL
 
-        tasks = [(n, m, first, budget) for first in firsts]
-        with get_context("fork").Pool(workers) as pool:
-            for result in pool.imap(_search_task, tasks):
-                take(*result)
+        children = []  # (pid, read end) of each running task, oldest first
+        try:
+            for first in firsts:
+                children.append(_fork_task((n, m, first, budget)))
+                if len(children) == workers:
+                    take(*_join_oldest(children))
+            while children:
+                take(*_join_oldest(children))
+        finally:
+            for pid, read in children:
+                os.kill(pid, SIGKILL)
+                os.waitpid(pid, 0)
+                os.close(read)
     order = size * sum(w * len(perms) for (_, w), perms in zip(classes, found))
     affine = affine_group_order(n, m)
     if order % affine:

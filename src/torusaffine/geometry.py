@@ -14,7 +14,6 @@ computations a point is one common denominator and an integer vector
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
@@ -25,7 +24,7 @@ from typing import Sequence
 from .intmat import Matrix, det, from_columns, scaled as _scaled
 from .intmat import frac_matvec  # noqa: F401  (wrapped by name in bench/layers.py)
 from .lattice import LatticeBasis, basis_frames, primitive_part, snf_decomposition
-from .ratpoint import MAX_POINTS, RatPoint, _canonical, _frac
+from .ratpoint import MAX_POINTS, Frozen, RatPoint, _canonical, _frac
 
 
 @lru_cache(maxsize=1024)
@@ -41,33 +40,32 @@ def _frames(lattice: LatticeBasis) -> tuple[Matrix, Matrix]:
     return basis_frames(lattice)
 
 
-@dataclass(frozen=True, slots=True)
-class RationalSubtorus:
+class RationalSubtorus(Frozen):
     """A coset of a closed connected subgroup with rational tangent.
 
     The base point is canonicalized by zeroing the tangent coordinates in the
     split frame of the lattice, so equal cosets compare equal.
     """
 
-    base: RatPoint
-    lattice: LatticeBasis
+    __slots__ = ("base", "lattice")
 
-    def __post_init__(self):
-        if not self.lattice.saturated:
+    def __init__(self, base: RatPoint, lattice: LatticeBasis):
+        if not lattice.saturated:
             raise ValueError("tangent lattice must be saturated")
-        k = self.lattice.rank
+        k = lattice.rank
         if k == 0:
             raise ValueError("no direction")
-        if self.base.dim != self.lattice.dim:
+        if base.dim != lattice.dim:
             raise ValueError("base dimension mismatch")
         # In split coordinates the base keeps its transversal part and its
         # tangent part is zeroed: base = U[:, k:] . (U^-1[k:] . base) mod 1,
         # computed on the base scaled to integers over one denominator.
-        u, u_inv = _frames(self.lattice)
-        den, nums = _scaled(self.base.coords)
+        u, u_inv = _frames(lattice)
+        den, nums = _scaled(base.coords)
         split = [sum(map(mul, row, nums)) for row in u_inv[k:]]
         base = tuple(Fraction(sum(map(mul, row[k:], split)) % den, den) for row in u)
         object.__setattr__(self, "base", _canonical(base))
+        object.__setattr__(self, "lattice", lattice)
 
     @property
     def dim(self) -> int:
@@ -177,21 +175,20 @@ def are_parallel(l1: RationalLine, l2: RationalLine) -> bool:
     return l1.direction == l2.direction
 
 
-@dataclass(frozen=True, slots=True)
-class IntersectionCount:
+class IntersectionCount(Frozen):
     """Cardinality of an intersection: a finite count or infinity."""
 
-    count: int | None  # None encodes an infinite intersection
+    __slots__ = ("count",)  # None encodes an infinite intersection
 
     @classmethod
     def finite(cls, k: int) -> "IntersectionCount":
         if k < 0:
             raise ValueError("negative count")
-        return cls(count=k)
+        return cls(k)
 
     @classmethod
     def infinite(cls) -> "IntersectionCount":
-        return cls(count=None)
+        return cls(None)
 
     @property
     def is_infinite(self) -> bool:

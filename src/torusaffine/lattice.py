@@ -15,12 +15,12 @@ guard against; results are exact for any input size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 from typing import Iterable, Sequence
 
 from .intmat import Matrix, det, from_columns, matmul
+from .ratpoint import Frozen
 
 IntVec = tuple[int, ...]
 
@@ -80,8 +80,7 @@ def is_primitive(v: Sequence[int]) -> bool:
     return g == 1
 
 
-@dataclass(frozen=True)
-class LatticeBasis:
+class LatticeBasis(Frozen):
     """Canonical basis of a sublattice of Z^n.
 
     ``vectors`` are the basis vectors in Hermite order (see module
@@ -91,8 +90,11 @@ class LatticeBasis:
     non-canonical data is unsupported.
     """
 
-    vectors: tuple[IntVec, ...]
-    saturated: bool
+    __slots__ = ("vectors", "saturated")
+
+    def __init__(self, vectors: tuple[IntVec, ...], saturated: bool):
+        object.__setattr__(self, "vectors", vectors)
+        object.__setattr__(self, "saturated", saturated)
 
     @property
     def rank(self) -> int:

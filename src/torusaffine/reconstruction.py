@@ -9,7 +9,6 @@ table is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -29,7 +28,7 @@ from .collineation import (
     point_index,
 )
 from .intmat import det
-from .ratpoint import RatPoint
+from .ratpoint import Frozen, RatPoint
 
 
 class NonaffineCollineationError(Exception):
@@ -40,29 +39,23 @@ class NonaffineCollineationError(Exception):
     """
 
 
-@dataclass(frozen=True)
-class GridMap:
+class GridMap(Frozen):
     """A bijection of the m-grid on the n-torus, stored as image indices in
     lexicographic point order."""
 
-    n: int
-    m: int
-    images: tuple[int, ...]
+    __slots__ = ("n", "m", "images")
 
-    def __post_init__(self):
-        if self.n < 2:
+    def __init__(self, n: int, m: int, images: tuple[int, ...]):
+        if n < 2:
             raise ValueError("dimension must be at least 2")
-        if self.m < 3:
+        if m < 3:
             raise ValueError("modulus too small")
-        size = self.m**self.n
-        if len(self.images) != size:
+        size = m**n
+        if len(images) != size:
             raise ValueError("image table has the wrong length")
-        if (
-            len(set(self.images)) != size
-            or min(self.images) < 0
-            or max(self.images) >= size
-        ):
+        if len(set(images)) != size or min(images) < 0 or max(images) >= size:
             raise ValueError("mapping is not a permutation")
+        super().__init__(n, m, images)
 
     @property
     def size(self) -> int:
@@ -80,13 +73,11 @@ class GridMap:
         return cls(n, m, affine_table(phi, n, m))
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Frozen):
     """Certificate that a grid map is not a collineation: three points on
     one discrete line whose images lie on no discrete line at all."""
 
-    points: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
-    line: DiscreteLine
+    __slots__ = ("points", "line")
 
     def validate(self, f: GridMap) -> bool:
         if len(set(self.points)) != 3:
@@ -173,13 +164,13 @@ def infer_affine(f: GridMap):
     return verdict
 
 
-@dataclass(frozen=True)
-class PropertyReport:
-    """Structural facts checked for a verified line-preserving map."""
+class PropertyReport(Frozen):
+    """Structural facts checked for a verified line-preserving map; a
+    property that is not checked at this (n, m) reads None."""
 
-    parallels_preserved: bool
-    blocks_preserved: bool | None
-    subtorus_cosets_preserved: bool | None
+    __slots__ = (
+        "parallels_preserved", "blocks_preserved", "subtorus_cosets_preserved"
+    )
 
 
 def _direction_normalizer(f: GridMap) -> tuple | None:

@@ -8,7 +8,6 @@ re-exported here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .affine import AffineTorusAuto
@@ -24,7 +23,7 @@ from .geometry import (
 from .intmat import frac_matvec, matvec
 from .lattice import _row_hnf, hnf, saturate
 from .lattice import snf_decomposition  # noqa: F401  (wrapped by name in bench/layers.py)
-from .ratpoint import RatPoint, _canonical, origin
+from .ratpoint import Frozen, RatPoint, _canonical, origin
 
 
 def subtorus_span(base: RatPoint, dirs) -> RationalSubtorus:
@@ -55,16 +54,13 @@ def line_subtorus_count(line: RationalLine, s: RationalSubtorus) -> Intersection
     return IntersectionCount.infinite() if kernel else IntersectionCount.finite(count)
 
 
-@dataclass(frozen=True, slots=True)
-class ComponentDecomposition:
+class ComponentDecomposition(Frozen):
     """The pieces of a nonempty intersection of two subtorus cosets: how
     many parallel components there are, their common dimension, and the
     component through the lexicographically least intersection point (a
     bare point when the intersection is finite)."""
 
-    component_count: int
-    common_dimension: int
-    representative: RationalSubtorus | RatPoint
+    __slots__ = ("component_count", "common_dimension", "representative")
 
 
 def intersect_subtori(

@@ -1,5 +1,6 @@
 """File format, CLI verdicts, exit codes, and byte-level determinism."""
 
+import contextlib
 import io
 import json
 import os
@@ -11,6 +12,8 @@ from pathlib import Path
 from time import perf_counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import torusaffine
 from torusaffine.cli import generate_map, main
@@ -599,13 +602,16 @@ except SystemExit as exit:
 print(" ".join(sorted(sys.modules)))
 """
 
-# What only intersect, oracle and svg need, and the search pool
+# What only intersect, oracle and svg need, and what no subcommand needs:
+# the value classes are hand-written and the search forks without a pool
 NOT_FOR_GRID_COMMANDS = {
     "torusaffine.geometry",
     "torusaffine.lattice",
     "torusaffine.subtorus",
     "torusaffine.svgfig",
     "multiprocessing",
+    "dataclasses",
+    "inspect",
 }
 
 
@@ -624,7 +630,139 @@ def test_grid_commands_load_only_their_modules(tmp_path):
         assert {"torusaffine.fileformat", "torusaffine.reconstruction"} <= loaded
         assert not loaded & NOT_FOR_GRID_COMMANDS, argv[0]
     assert (tmp_path / "verdict.txt").read_text().startswith("AFFINE\n")
-    loaded = footprint("search", "--m", "3", "--workers", "1", "--out", tmp_path / "s")
-    assert "torusaffine.collineation" in loaded
-    assert not loaded & NOT_FOR_GRID_COMMANDS
-    assert not loaded & {"torusaffine.fileformat", "torusaffine.reconstruction"}
+    # m = 4 has two divisor classes, so two workers fork
+    for m, workers in (("3", "1"), ("4", "2")):
+        argv = ("search", "--m", m, "--workers", workers, "--out", tmp_path / "s")
+        loaded = footprint(*argv)
+        assert "torusaffine.collineation" in loaded
+        assert not loaded & NOT_FOR_GRID_COMMANDS
+        assert not loaded & {"torusaffine.fileformat", "torusaffine.reconstruction"}
+
+
+def test_no_module_loads_dataclasses_or_multiprocessing():
+    names = sorted(p.stem for p in (SRC / "torusaffine").glob("*.py"))
+    script = f"""
+import importlib, sys
+for name in {names!r}:
+    importlib.import_module("torusaffine" + ("" if name == "__init__" else "." + name))
+print(sorted({{"dataclasses", "inspect", "multiprocessing"}} & set(sys.modules)))
+"""
+    assert fresh_python("-c", script) == "[]\n"
+
+
+# ----------------------------------------------------------- fuzzing
+
+
+def _mostly(valid, malformed):
+    """Draws from malformed one time in six, otherwise from valid."""
+    return st.integers(0, 5).flatmap(lambda k: malformed if k == 0 else valid)
+
+
+def _pair(values):
+    return st.tuples(values, values).map(lambda p: f"{p[0]},{p[1]}")
+
+
+RATIONALS = _mostly(
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-9, 9), st.integers(1, 7)),
+    st.sampled_from(["1/0", "1/-2", "x", "1/2/3", ""]),
+)
+INT_PAIRS = _mostly(
+    _pair(st.integers(-6, 6)), st.sampled_from(["1", "1,2,3", "a,1", "3/2,1"])
+)
+RATIONAL_PAIRS = _mostly(_pair(RATIONALS), st.sampled_from(["1/2", "1/2,0,0"]))
+KINDS = st.sampled_from(["affine", "perturbed", "random"])
+
+# JSON values for the scene parser
+TOKENS = _mostly(RATIONALS | st.integers(-3, 3), st.sampled_from([None, 1.5, [1]]))
+POSITIONS = _mostly(
+    st.lists(TOKENS, min_size=2, max_size=2), st.lists(TOKENS, max_size=3)
+)
+STYLES = _mostly(
+    st.sampled_from(["red", "#0a0b0c", "0.01 0.02"]), st.sampled_from(["<", 3])
+)
+DIRECTIONS = st.lists(st.integers(-30, 30), min_size=2, max_size=2)
+LINES = st.fixed_dictionaries(
+    {"direction": _mostly(DIRECTIONS, TOKENS)},
+    optional={"base": POSITIONS, "stroke": STYLES, "dash": STYLES},
+)
+POINTS = st.fixed_dictionaries({"at": POSITIONS}, optional={"fill": STYLES})
+BLOCKS = st.fixed_dictionaries(
+    {key: TOKENS for key in ("x0", "x1", "y0", "y1")}, optional={"stroke": STYLES}
+)
+SCENES = _mostly(
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "lines": _mostly(st.lists(LINES, max_size=3), TOKENS),
+            "points": st.lists(POINTS, max_size=3),
+            "blocks": st.lists(BLOCKS, max_size=2),
+            "width": _mostly(st.integers(64, 4096), st.sampled_from([10, "wide"])),
+        },
+    ),
+    st.sampled_from([[], 3, "scene", None, {"extra": 1}]),
+)
+
+
+@st.composite
+def cli_calls(draw):
+    """(argv, text of the input file or None) from a small grammar over
+    every subcommand; "FILE" in argv stands for the input file."""
+    command = draw(
+        st.sampled_from(["gen", "reconstruct", "intersect", "oracle", "search", "svg"])
+    )
+    if command == "gen":
+        n = draw(_mostly(st.integers(2, 4), st.integers(-1, 1)))
+        m = draw(_mostly(st.integers(3, 12), st.integers(-1, 2)))
+        seed = draw(st.integers(-2, 99))
+        kind = draw(_mostly(KINDS, st.just("other")))
+        argv = ["gen", "--n", str(n), "--m", str(m), "--seed", str(seed)]
+        return argv + ["--kind", kind], None
+    if command == "reconstruct":
+        n = draw(st.integers(2, 3))
+        m = draw(st.integers(3, 8 if n == 2 else 4))
+        table = emit_torusmap(generate_map(n, m, draw(st.integers(0, 9)), draw(KINDS)))
+        cut = draw(st.integers(0, len(table)))
+        mangled = [table[:cut], table[:cut] + "x" + table[cut:]]
+        text = draw(_mostly(st.just(table), st.sampled_from(mangled)))
+        return ["reconstruct", "FILE"], text
+    if command in ("intersect", "oracle"):
+        argv = [command]
+        for i in "12":
+            argv += [f"--dir{i}={draw(INT_PAIRS)}", f"--base{i}={draw(RATIONAL_PAIRS)}"]
+        if command == "oracle" and draw(st.booleans()):
+            argv.append(f"--max-denominator={draw(st.integers(-2, 10**5))}")
+        return argv, None
+    if command == "search":
+        m = draw(_mostly(st.integers(3, 5), st.integers(-1, 2)))
+        argv = ["search", "--m", str(m)]
+        argv += ["--workers", str(draw(st.integers(0, 3)))]
+        if draw(st.booleans()):
+            argv += ["--budget", str(draw(st.sampled_from([-1, 0, 1, 50, 10**6])))]
+        return argv, None
+    text = draw(_mostly(SCENES.map(json.dumps), st.sampled_from(["{", "", "[1,"])))
+    return ["svg", "FILE"], text
+
+
+@given(call=cli_calls())
+@settings(max_examples=200, deadline=None)
+def test_cli_fuzz_ends_cleanly(tmp_path_factory, call):
+    # every call ends within 10 s, exits 0-3 (argparse's refusal is
+    # SystemExit(2)), writes no traceback and leaves no child process behind
+    argv, text = call
+    path = tmp_path_factory.getbasetemp() / "fuzz-input.txt"
+    if text is not None:
+        path.write_text(text, encoding="ascii")
+    argv = [str(path) if arg == "FILE" else arg for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    start = perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exit:
+            code = exit.code
+            assert code == 2, argv
+    assert perf_counter() - start < 10, argv
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

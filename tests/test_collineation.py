@@ -266,6 +266,8 @@ def test_group_m5_and_worker_independence():
         assert len(one.tasks) == tasks
         assert one.nodes == two.nodes
         assert one.generators == two.generators
+        assert one == two
+    assert_no_children()
 
 
 def test_group_m4_exceeds_affine():
@@ -344,34 +346,70 @@ def test_budget_is_enforced():
     assert err.value.nodes == 101
 
 
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_workers_are_clamped_to_cpu_count(monkeypatch):
-    sizes = []
+    running = [0]
+    peak = [0]
+    fork, join = collineation._fork_task, collineation._join_oldest
 
-    class SerialPool:
-        def __init__(self, size):
-            sizes.append(size)
+    def counted_fork(task):
+        running[0] += 1
+        peak[0] = max(peak[0], running[0])
+        return fork(task)
 
-        def __enter__(self):
-            return self
+    def counted_join(children):
+        running[0] -= 1
+        return join(children)
 
-        def __exit__(self, *exc):
-            return False
+    monkeypatch.setattr(collineation, "_fork_task", counted_fork)
+    monkeypatch.setattr(collineation, "_join_oldest", counted_join)
+    # neither one divisor class (m = 3) nor one core forks
+    assert collineation_group(2, 3, workers=10**6).order == 432
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert collineation_group(2, 4, workers=10**6).order == 6144
+    assert peak[0] == 0
+    # m = 4 has two divisor classes, so at most 2 children run at once
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert collineation_group(2, 4, workers=10**6).order == 6144
+    assert peak[0] == 2
+    assert_no_children()
 
-        def imap(self, fn, tasks):
-            return map(fn, tasks)
 
-    class Context:
-        Pool = SerialPool
+def test_forked_overrun_stops_at_the_first_in_task_order(monkeypatch):
+    # every forked task gets the whole budget; the second of m = 6's three
+    # tasks takes the folded total past it
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    with pytest.raises(BudgetExceededError) as err:
+        collineation_group(2, 6, workers=2, budget=50000)
+    assert err.value.nodes == 79114
+    assert_no_children()
 
-    monkeypatch.setattr("multiprocessing.get_context", lambda method: Context)
-    got = collineation_group(2, 3, workers=10**6)
-    assert got.order == 432
-    assert all(size <= (os.cpu_count() or 1) for size in sizes)
-    # m = 4 has two divisor classes, so the pool is built, at most 2 wide
-    got = collineation_group(2, 4, workers=10**6)
-    assert got.order == 6144
-    assert sizes
-    assert all(size <= min(2, os.cpu_count() or 1) for size in sizes)
+
+@pytest.mark.parametrize("where", ["child", "parent"])
+def test_a_failed_fan_out_leaves_no_child(monkeypatch, where):
+    def broken(*args):
+        raise ValueError("broken search")
+
+    join = collineation._join_oldest
+
+    def interrupted(children):
+        join(children)
+        raise KeyboardInterrupt
+
+    if where == "child":
+        monkeypatch.setattr(collineation, "_search", broken)
+        expected = RuntimeError
+    else:
+        monkeypatch.setattr(collineation, "_join_oldest", interrupted)
+        expected = KeyboardInterrupt
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    with pytest.raises(expected):
+        collineation_group(2, 6, workers=2)
+    assert_no_children()
 
 
 def test_search_requires_dimension_two():

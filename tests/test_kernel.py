@@ -19,7 +19,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from torusaffine.affine import AffineTorusAuto
-from torusaffine.collineation import affine_table
+from torusaffine.collineation import (
+    DiscreteLine,
+    affine_table,
+    build_incidence,
+    collineation_group,
+)
 from torusaffine.geometry import (
     IntersectionCount,
     RatPoint,
@@ -38,6 +43,7 @@ from torusaffine.lattice import (
     smith_invariants,
     snf_decomposition,
 )
+from torusaffine.reconstruction import GridMap, PropertyReport, Witness
 from torusaffine.subtorus import ComponentDecomposition, intersect_subtori, subtorus_span
 
 
@@ -379,10 +385,49 @@ def test_value_classes_are_slotted_and_pickle_unchanged():
     s = subtorus_span(RatPoint((Fraction(1, 5), 0, Fraction(2, 7))), [(1, 1, 0), (0, 1, 1)])
     meet = intersect_subtori(s, subtorus_span(RatPoint((0, 0, 0)), [(1, 0, 0)]))
     assert isinstance(meet, ComponentDecomposition)
-    values = (line.base, line, s, IntersectionCount.finite(3), meet)
-    for value in values:
+    shift = RatPoint((Fraction(3, 5), Fraction(-1, 5)))
+    phi = AffineTorusAuto(((7, 1), (1, 1)), shift, 5)
+    grid_line = DiscreteLine(2, 5, (0, 3), (1, 3))
+    values = (
+        line.base,
+        line,
+        s,
+        IntersectionCount.finite(3),
+        meet,
+        phi,
+        grid_line,
+        GridMap.from_affine(phi, 2, 5),
+        Witness(((1, 0), (1, 1), (1, 2)), grid_line),
+        collineation_group(2, 3),
+        PropertyReport(True, False, None),
+        s.lattice,
+    )
+    incidence = build_incidence(2, 3)  # holds a dict, so it has no hash
+    for value in values + (incidence,):
         assert not hasattr(value, "__dict__")
         copy = pickle.loads(pickle.dumps(value))
-        assert copy == value and hash(copy) == hash(value)
-        assert type(copy) is type(value)
+        assert copy == value and type(copy) is type(value)
+        if value is not incidence:
+            assert hash(copy) == hash(value)
     assert pickle.loads(pickle.dumps(line)).direction == (2, 3)
+    # what the dataclasses these classes replaced gave
+    assert repr(shift) == "RatPoint(coords=(Fraction(3, 5), Fraction(4, 5)))"
+    assert repr(phi) == (
+        "AffineTorusAuto(matrix=((2, 1), (1, 1)), "
+        "translation=RatPoint(coords=(Fraction(3, 5), Fraction(4, 5))), modulus=5)"
+    )
+    assert repr(grid_line) == (
+        "DiscreteLine(n=2, m=5, generator=(0, 1), base=(1, 0), "
+        "points=((1, 0), (1, 1), (1, 2), (1, 3), (1, 4)))"
+    )
+    assert hash(shift) == hash((shift.coords,))
+    bare = DiscreteLine.__new__(DiscreteLine)
+    bare.__setstate__((2, 5, (0, 1), (1, 0), None))
+    assert bare == grid_line and hash(bare) == hash(grid_line)
+    assert line != RationalSubtorus(line.base, line.lattice)
+    fields = ((shift, "coords"), (phi, "matrix"), (grid_line, "points"), (line, "base"))
+    for value, name in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
