@@ -21,7 +21,7 @@ import time
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .ratpoint import MAX_POINTS, RatPoint
+from .ratpoint import MAX_POINTS, RatPoint, parse_rational
 
 # Each subcommand imports the library modules it runs, so a process loads
 # only those: gen, reconstruct and search never load geometry or lattice.
@@ -49,7 +49,7 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 
 def _parse_rationals(text: str) -> RatPoint:
     try:
-        coords = tuple(Fraction(tok) for tok in text.split(","))
+        coords = tuple(parse_rational(tok) for tok in text.split(","))
     except (ValueError, ZeroDivisionError) as err:
         raise InputError(f"bad rational pair {text!r}") from err
     if len(coords) != 2:

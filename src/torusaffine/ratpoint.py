@@ -13,6 +13,13 @@ from operator import attrgetter
 MAX_POINTS = 1_000_000
 
 
+def parse_rational(token: str) -> Fraction:
+    """Fraction(token), refusing a decimal exponent: Fraction expands 1eN to 10**N."""
+    if "e" in token or "E" in token:
+        raise ValueError(f"exponent in rational {token!r}")
+    return Fraction(token)
+
+
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x

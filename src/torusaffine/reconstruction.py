@@ -16,14 +16,13 @@ from math import gcd
 from .affine import AffineTorusAuto
 from .collineation import (
     DiscreteLine,
-    _generators,
+    _factorize,
     _units,
     affine_table,
     canonical_generator,
     enumerate_discrete_lines,
     index_point,
     is_affine_perm,
-    line_points,
     lines_through,
     point_index,
 )
@@ -88,27 +87,34 @@ class Witness(Frozen):
         return all(c not in line.points for line in lines_through(a, b, f.m))
 
 
-def _image_line(
-    f: GridMap, points: list[tuple[int, ...]]
-) -> tuple[int, ...] | None:
-    """A generator of the image of a line's points under f, or None when
-    the image is not a discrete line.
+def _line_indices(base: tuple[int, ...], gen: tuple[int, ...], m: int) -> list[int]:
+    """The flat indices of base + k·gen, k = 0 … m−1, built one axis at a
+    time as `affine_table` builds its table."""
+    idx = [0] * m
+    for b, g in zip(base, gen):
+        idx = [i * m + (b + k * g) % m for k, i in enumerate(idx)]
+    return idx
+
+
+def _image_line(f: GridMap, indices: list[int]) -> tuple[int, ...] | None:
+    """A generator of the image of a line's point indices under f, or None
+    when the image is not a discrete line.
 
     A line q0 + <g> contains q0 + g with gcd(g, m) = 1, and any such point
     generates the same subgroup, so the first image q with gcd(q - q0, m)
-    = 1 fixes the only candidate line.
+    = 1 fixes the only candidate line.  Only the images up to that q are
+    decoded into points.
     """
-    m = f.m
-    images = [f.image_of(p) for p in points]
-    q0 = images[0]
-    for q in images[1:]:
-        g = tuple((y - x) % m for x, y in zip(q0, q))
+    n, m = f.n, f.m
+    images = [f.images[i] for i in indices]
+    q0 = index_point(images[0], n, m)
+    for i in images[1:]:
+        g = tuple((y - x) % m for x, y in zip(q0, index_point(i, n, m)))
         if gcd(*g, m) == 1:
             break
     else:
         return None
-    span = {tuple((x + k * y) % m for x, y in zip(q0, g)) for k in range(m)}
-    return g if span == set(images) else None
+    return g if set(_line_indices(q0, g, m)) == set(images) else None
 
 
 def _line_witness(f: GridMap, line: DiscreteLine) -> Witness | None:
@@ -135,7 +141,7 @@ def verify_line_preserving(f: GridMap):
     the first Witness, scanning lines by (base, generator) from 0 up."""
     broken = False
     for base, gen in enumerate_discrete_lines(f.n, f.m):
-        if _image_line(f, line_points(base, gen, f.m)) is None:
+        if _image_line(f, _line_indices(base, gen, f.m)) is None:
             broken = True
             witness = _line_witness(f, DiscreteLine(f.n, f.m, gen, base))
             if witness is not None:
@@ -187,7 +193,7 @@ def _direction_normalizer(f: GridMap) -> tuple | None:
     families = [(1, 0), (0, 1), (1, 1), (1, m - 1)]
     image_gen = {}
     for d in families:
-        gen = _image_line(f, line_points((0, 0), d, m))
+        gen = _image_line(f, _line_indices((0, 0), d, m))
         if gen is None:
             return None
         image_gen[d] = canonical_generator(gen, m)
@@ -233,44 +239,28 @@ def _blocks_preserved(f: GridMap) -> bool:
     return True
 
 
-def _prime(m: int) -> bool:
-    return m >= 2 and all(m % p for p in range(2, int(m**0.5) + 1))
-
-
-def _plane_cosets_mod_p(n: int, p: int):
-    """All rank-(n-1) subgroup cosets of (Z/p)^n, each as a frozenset of
-    points: solution sets of one nonzero linear functional."""
-    for normal in _generators(n, p):
-        for c in range(p):
-            yield frozenset(
-                pt
-                for pt in product(range(p), repeat=n)
-                if sum(a * x for a, x in zip(normal, pt)) % p == c
-            )
-
-
-def _subtorus_cosets_preserved(f: GridMap) -> bool:
-    cosets = set(_plane_cosets_mod_p(f.n, f.m))
-    for coset in cosets:
-        if frozenset(f.image_of(p) for p in coset) not in cosets:
-            return False
-    return True
-
-
 def check_paper_properties(f: GridMap) -> PropertyReport:
     """Parallels map to parallels; in 2D, blocks map to blocks; in higher
     dimension at prime modulus, hyperplane subgroup cosets map to hyperplane
-    cosets.  Raises ValueError unless f maps every line onto a line."""
-    image_gen: dict[tuple[int, ...], tuple[int, ...]] = {}
+    cosets.  Raises ValueError unless f maps every line onto a line.
+
+    The line walk reads image indices straight from f.images.  At prime m
+    and n >= 3, a map that sends lines onto lines is affine by the classical
+    fundamental theorem over F_m (m >= 3, and F_m has no field automorphism
+    but the identity), so the coset field is read off `is_affine_perm`."""
+    m = f.m
+    # direction -> every generator of the first such line's image subgroup
+    image_gens: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
     parallels = True
-    for base, g in enumerate_discrete_lines(f.n, f.m):
-        gen = _image_line(f, line_points(base, g, f.m))
+    for base, g in enumerate_discrete_lines(f.n, m):
+        gen = _image_line(f, _line_indices(base, g, m))
         if gen is None:
             raise ValueError("map does not preserve lines")
-        gen = canonical_generator(gen, f.m)
-        parallels &= image_gen.setdefault(g, gen) == gen
+        if g not in image_gens:
+            image_gens[g] = {tuple(u * x % m for x in gen) for u in _units(m)}
+        parallels &= gen in image_gens[g]
     blocks = _blocks_preserved(f) if f.n == 2 else None
-    subtori = (
-        _subtorus_cosets_preserved(f) if f.n >= 3 and _prime(f.m) else None
-    )
+    subtori = None
+    if f.n >= 3 and list(_factorize(m)) == [(m, 1)]:
+        subtori = is_affine_perm(f.n, m, f.images) is not None
     return PropertyReport(parallels, blocks, subtori)

@@ -19,6 +19,7 @@ from fractions import Fraction
 from math import floor
 
 from .lattice import primitive_part
+from .ratpoint import parse_rational
 
 _STYLE_VALUE = re.compile(r"[-#A-Za-z0-9. ,]*\Z")
 
@@ -47,7 +48,7 @@ def _rational(token, what: str) -> Fraction:
         return Fraction(token)
     if isinstance(token, str):
         try:
-            return Fraction(token)
+            return parse_rational(token)
         except (ValueError, ZeroDivisionError) as err:
             raise SceneError(f"bad rational {token!r} in {what}") from err
     raise SceneError(f"bad rational {token!r} in {what}")

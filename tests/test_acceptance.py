@@ -322,16 +322,44 @@ def test_large_perturbed_table_reconstructs_within_gate(tmp_path, n, m):
     }
     points = [tuple(int(x) for x in row.split()[1 : n + 1]) for row in lines[4:7]]
     assert len(set(points)) == 3 and set(points) <= line
-    # brute-force oracle: no subgroup <g> of order m holds both image
-    # differences, so the images lie on no discrete line
+    assert_images_on_no_line(f, points)
+    print(f"perturbed ({n},{m}) witness in {dt:.1f}s <= 20s")
+    assert dt <= 20
+
+
+def test_late_breaking_table_reconstructs_within_gate(tmp_path):
+    # the identity on T^2 with (0, m-1) and (0, m-2) swapped: every line
+    # before the witness line in (base, generator) order maps onto itself,
+    # so reconstruct walks almost all of them first
+    m = 127
+    images = list(range(m * m))
+    images[m - 1], images[m - 2] = images[m - 2], images[m - 1]
+    f = GridMap(2, m, tuple(images))
+    path = tmp_path / "late2x127.txt"
+    path.write_text(emit_torusmap(f), encoding="ascii")
+    t0 = perf_counter()
+    code, out = _run_cli(["reconstruct", str(path)])
+    dt = perf_counter() - t0
+    assert (code, out) == (
+        1,
+        "WITNESS\nn=2 m=127\nline_base 0 125\nline_dir 1 0\n"
+        "p 0 125 -> 0 126\np 1 125 -> 1 125\np 2 125 -> 2 125\n",
+    )
+    assert_images_on_no_line(f, [(0, 125), (1, 125), (2, 125)])
+    print(f"late-breaking (2,{m}) witness in {dt:.1f}s <= 20s")
+    assert dt <= 20
+
+
+def assert_images_on_no_line(f, points):
+    """Brute-force oracle: no subgroup <g> of order m holds both image
+    differences, so the images of the three points lie on no discrete line."""
+    n, m = f.n, f.m
     a, b, c = (f.image_of(p) for p in points)
     diffs = [tuple((y - x) % m for x, y in zip(a, q)) for q in (b, c)]
     for g in product(range(m), repeat=n):
         if gcd(*g, m) == 1:
             span = {tuple(k * x % m for x in g) for k in range(m)}
             assert not all(d in span for d in diffs)
-    print(f"perturbed ({n},{m}) witness in {dt:.1f}s <= 20s")
-    assert dt <= 20
 
 
 def test_block_test_agrees_with_closed_form():

@@ -531,6 +531,22 @@ def test_svg_bounds_the_whole_scene(tmp_path, capsys):
     assert code == 0 and out.count("<line") == 10 * 99
 
 
+def test_rationals_refuse_decimal_exponents(tmp_path, capsys):
+    # Fraction expands 1eN to 10**N: the intersect call took 13 s, and a
+    # larger exponent would run for hours
+    base = ["intersect", "--dir1", "1,0", "--dir2", "0,1", "--base1"]
+    scene = write_scene(tmp_path, {"points": [{"at": ["1e10000000", "0"]}]})
+    for argv in (base + ["1e10000000,0"], base + ["2E-3,0"], ["svg", scene]):
+        t0 = perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert perf_counter() - t0 < 0.5
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "Traceback" not in err
+    assert run(capsys, *base, "3/2,0.5")[:2] == (0, "count 1\npoint 0 1/2\n")
+    scene = write_scene(tmp_path, {"points": [{"at": ["3/2", "0.5"]}]})
+    assert run(capsys, "svg", scene)[0] == 0
+
+
 # ---------------------------------------------------------- start-up
 
 EXPORTS = [
@@ -664,7 +680,7 @@ def _pair(values):
 
 RATIONALS = _mostly(
     st.builds(lambda p, q: f"{p}/{q}", st.integers(-9, 9), st.integers(1, 7)),
-    st.sampled_from(["1/0", "1/-2", "x", "1/2/3", ""]),
+    st.sampled_from(["1/0", "1/-2", "x", "1/2/3", "", "1e9", "2E-3"]),
 )
 INT_PAIRS = _mostly(
     _pair(st.integers(-6, 6)), st.sampled_from(["1", "1,2,3", "a,1", "3/2,1"])

@@ -18,11 +18,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusaffine.affine import AffineTorusAuto
+from torusaffine.cli import generate_map
 from torusaffine.collineation import (
     DiscreteLine,
     affine_table,
     collineation_group,
+    enumerate_discrete_lines,
     is_affine_perm,
+    line_points,
+    point_index,
 )
 from torusaffine.geometry import is_block
 from torusaffine.intmat import det, identity
@@ -37,6 +41,7 @@ from torusaffine.reconstruction import (
     verify_line_preserving,
     _blocks_preserved,
     _direction_normalizer,
+    _line_indices,
 )
 
 
@@ -120,6 +125,13 @@ def test_witness_validate_rejects_collinear_images():
 
 def test_verify_line_preserving_identity():
     assert verify_line_preserving(identity_map(2, 5)) is True
+
+
+@pytest.mark.parametrize("n,m", [(2, 6), (3, 4), (4, 3)])
+def test_line_indices_match_line_points(n, m):
+    for base, gen in enumerate_discrete_lines(n, m):
+        points = line_points(base, gen, m)
+        assert _line_indices(base, gen, m) == [point_index(p, m) for p in points]
 
 
 def test_infer_n3_round_trip():
@@ -235,10 +247,34 @@ def test_report_affine_mod7():
     assert report == PropertyReport(True, True, None)
 
 
-def test_report_identity_n3():
-    assert check_paper_properties(identity_map(3, 3)) == PropertyReport(
+def hyperplane_cosets(n, p):
+    """Every coset of a rank n-1 subgroup of (Z/p)^n, as a frozenset of flat
+    indices: the level sets of each nonzero linear functional."""
+    points = list(product(range(p), repeat=n))
+    return {
+        frozenset(
+            i for i, x in enumerate(points)
+            if sum(a * c for a, c in zip(normal, x)) % p == level
+        )
+        for normal in points[1:]
+        for level in range(p)
+    }
+
+
+@pytest.mark.parametrize("n,m", [(3, 3), (3, 5), (4, 3)])
+def test_report_prime_modulus(n, m):
+    assert check_paper_properties(identity_map(n, m)) == PropertyReport(
         True, None, True
     )
+    cosets = hyperplane_cosets(n, m)
+    for seed in range(3):
+        f = generate_map(n, m, seed=seed, kind="affine")
+        assert check_paper_properties(f) == PropertyReport(True, None, True)
+        images = {frozenset(f.images[i] for i in coset) for coset in cosets}
+        assert images == cosets
+        g = generate_map(n, m, seed=seed, kind="perturbed")
+        with pytest.raises(ValueError, match="does not preserve lines"):
+            check_paper_properties(g)
 
 
 def test_report_rejects_line_breaker():
