@@ -1,10 +1,12 @@
 """Count every line-preserving bijection of the m-grid on the 2-torus.
 
-At prime m each grid point lies on m+1 discrete lines and the exhaustive
-backtracking search finds nothing beyond the affine maps.  At m = 4 the
-incidence structure is looser: the search returns four times more
-collineations than there are affine maps, and the census below shows what
-the extra maps give up -- every single one of them breaks parallelism.
+The search counts the group orbit by orbit along a base, so it finds one
+map per new orbit point rather than every map.  At prime m it finds
+nothing beyond the affine maps.  At m = 4, 8 and 9 the incidence structure
+is looser: the index over the affine maps is 4, 256 and 27, and m = 12
+has index 4, the product of the indices at 3 and 4.  The census below
+shows what the extra maps at m = 4 give up -- every single one of them
+breaks parallelism.
 """
 
 from torusaffine import (
@@ -15,7 +17,7 @@ from torusaffine import (
     is_affine_perm,
 )
 
-for m in (3, 4, 5):
+for m in range(3, 13):
     summary = collineation_group(2, m)
     affine = affine_group_order(2, m)
     print(

@@ -2,29 +2,26 @@
 
 Points are the m^n residue tuples.  Lines are the cosets of the order-m
 cyclic subgroups whose generators lift to primitive integer directions --
-exactly the grid shadows of rational torus lines.  The group computation is
-exhaustive backtracking with incidence propagation, so reported orders are
-exact, never estimates.  GL_2(Z/m) fixes 0 and permutes the lines, so the
-search runs one task per orbit of the image of e1 -- one per proper divisor
-d of m, pinning e1 to (d, 0) -- and weights it by the orbit's size.  With
-two or more workers the tasks fan out to forked children, which inherit the
-incidence structure and send their results back through pipes.
+exactly the grid shadows of rational torus lines.  The group is counted
+exactly, never estimated: the translations are transitive on the points,
+and the stabilizer of 0 is counted orbit by orbit along a base, by
+backtracking with incidence propagation that stops at the first map each
+new orbit point needs.
 """
 
 from __future__ import annotations
 
-import marshal
-import os
-from collections import Counter
 from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
 from math import gcd, prod
+from typing import TYPE_CHECKING
 
-from .affine import AffineTorusAuto
-from .intmat import identity
-from .ratpoint import MAX_POINTS, Frozen, RatPoint, origin
+from .ratpoint import MAX_POINTS, Frozen, RatPoint
+
+if TYPE_CHECKING:  # imported in is_affine_perm, so that `search` never loads it
+    from .affine import AffineTorusAuto
 
 DEFAULT_NODE_BUDGET = 10**9
 
@@ -145,32 +142,44 @@ def _generators(n: int, m: int) -> list[tuple[int, ...]]:
     return gens
 
 
-def _is_base(p: tuple[int, ...], g: tuple[int, ...], m: int) -> bool:
-    """Whether p is the lexicographically least point of p + <g>: with the
-    earlier coordinates held fixed, k runs over the multiples of step, so
-    coordinate x can drop to x mod gcd(step*y, m) and no further."""
+def _base_box(g: tuple[int, ...], m: int) -> tuple[int, ...]:
+    """The corner c of the bases of the lines along g: p is the
+    lexicographically least point of p + <g> exactly when p < c in every
+    coordinate.  With the earlier coordinates held fixed, k runs over the
+    multiples of step, so coordinate x can drop to x mod gcd(step*y, m)
+    and no further."""
+    box = []
     step = 1
-    for x, y in zip(p, g):
+    for y in g:
         c = gcd(step * y, m)
-        if x >= c:
-            return False
+        box.append(c)
         step *= m // c
-    return True
+    return tuple(box)
 
 
 def enumerate_discrete_lines(
     n: int, m: int
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """All discrete lines of the m-grid on the n-torus, each once, lazily,
-    as the canonical (base, generator) pairs of DiscreteLine, in order."""
+    as the canonical (base, generator) pairs of DiscreteLine, in order.
+    Generators share few base boxes, so each point tests the boxes and
+    takes the sorted generators of those that hold it."""
     if m < 3:
         raise ValueError("modulus too small")
     if n < 2:
         raise ValueError("dimension must be at least 2")
-    gens = _generators(n, m)
-    return (
-        (p, g) for p in iproduct(range(m), repeat=n) for g in gens if _is_base(p, g, m)
-    )
+    boxes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for g in _generators(n, m):
+        boxes.setdefault(_base_box(g, m), []).append(g)
+    merged: dict[tuple, list[tuple[int, ...]]] = {}  # boxes holding p -> gens
+
+    def gens_at(p):
+        key = tuple(box for box in boxes if all(map(int.__lt__, p, box)))
+        if key not in merged:
+            merged[key] = sorted(g for box in key for g in boxes[box])
+        return merged[key]
+
+    return ((p, g) for p in iproduct(range(m), repeat=n) for g in gens_at(p))
 
 
 class IncidenceStructure(Frozen):
@@ -280,6 +289,8 @@ def is_affine_perm(n: int, m: int, images) -> AffineTorusAuto | None:
         cols.append(tuple((a - b) % m for a, b in zip(img, shift)))
     matrix = tuple(tuple(col[r] for col in cols) for r in range(n))
     translation = RatPoint(tuple(Fraction(c, m) for c in shift))
+    from .affine import AffineTorusAuto
+
     try:
         phi = AffineTorusAuto(matrix, translation, m)
     except ValueError:
@@ -291,38 +302,38 @@ def is_affine_perm(n: int, m: int, images) -> AffineTorusAuto | None:
 
 class GroupSummary(Frozen):
     """Exact collineation-group data: total order, the affine subgroup
-    order and its index, the node count of the search, and permutations
-    generating the group: the axis translations, generators of GL_2(Z/m)
-    (`linear`), and, per divisor class, the image of e1 its task pinned
-    together with the collineations fixing 0 that the task found (`tasks`)."""
+    order and its index, the node count of the search, and the stabilizer
+    of 0 as a base and strong generating set.  `base` lists the nonzero
+    points in the search's order, `orbits[i]` is the orbit length of
+    base[i] under the maps fixing 0 and base[:i], and the maps among
+    `generators` that fix base[:i] generate that stabilizer."""
 
     __slots__ = (
-        "order", "affine_order", "index", "nodes", "translations", "linear", "tasks"
+        "order", "affine_order", "index", "nodes", "base", "orbits", "generators"
     )
 
-    @property
-    def generators(self) -> tuple[tuple[int, ...], ...]:
-        found = tuple(perm for _, perms in self.tasks for perm in perms)
-        return self.translations + self.linear + found
+    def stabilizer(self, level: int = 0) -> Iterator[tuple[int, ...]]:
+        """Every collineation fixing 0 and base[:level], each once, as the
+        products u_level∘…∘u_last of one map per level taking that level's
+        base point to each point of its orbit.  Level 2 gives the normalized
+        maps, which fix 0, e1 and e2."""
+        base, gens = self.base, self.generators
+        identity = tuple(range(len(base) + 1))
+        levels = [_level(g, base) for g in gens]
+        factors = []
+        for i in range(level, len(base)):
+            if self.orbits[i] > 1:
+                here = [g for g, j in zip(gens, levels) if j >= i]
+                factors.append(tuple(_transversal(base[i], here, identity).values()))
 
-    def stabilizer(self) -> Iterator[tuple[int, ...]]:
-        """Every collineation fixing 0, ordered by the image f of e1: A_f∘g
-        for each g of the task of f's class, where A_f, a product of the
-        linear generators, takes the task's pinned image to f (found by a
-        breadth-first walk out of each pinned image)."""
-        size = len(self.translations[0])
-        carry = {first: (tuple(range(size)), perms) for first, perms in self.tasks}
-        queue = list(carry)
-        for p in queue:
-            a, perms = carry[p]
-            for gen in self.linear:
-                if gen[p] not in carry:
-                    carry[gen[p]] = (tuple(gen[x] for x in a), perms)
-                    queue.append(gen[p])
-        for f in range(1, size):
-            a, perms = carry[f]
-            for perm in perms:
-                yield tuple(a[x] for x in perm)
+        def expand(perm, i):
+            if i == len(factors):
+                yield perm
+                return
+            for u in factors[i]:
+                yield from expand(tuple(perm[x] for x in u), i + 1)
+
+        return expand(identity, 0)
 
 
 def _iter_bits(mask: int):
@@ -332,146 +343,53 @@ def _iter_bits(mask: int):
         mask ^= low
 
 
-def _search(inc: IncidenceStructure, first: int, budget: int):
-    """Backtracking count of collineations fixing 0 whose image of e1 is
-    pinned to `first`.  Returns (stabilizer permutations, nodes) or raises
-    BudgetExceededError.  A line's only state is the bitmask of its images;
-    `assign` needs no check, because candidates lie on a line holding every
-    image of each line through the point, and any two distinct points share
-    a line."""
-    size = inc.size
-    through = inc.through
-    masks = inc.masks
-    pair_lines = inc.pair_lines
-    members = [tuple(_iter_bits(mask)) for mask in masks]
-    full = (1 << size) - 1
+def _level(g: tuple[int, ...], base) -> int:
+    """The index of the first base point g moves."""
+    return next(i for i, q in enumerate(base) if g[q] != q)
 
-    img = [0] * size  # filled in as points are assigned; 0 maps to 0
-    used = 1
-    line_imgs = [mask & 1 for mask in masks]  # 0 is its own image
-    # score[q] counts the lines through q (fewer than size) that hold two or
-    # more images, less size once q is assigned: the first highest is next
+
+def _transversal(p: int, gens, identity: tuple[int, ...]) -> dict:
+    """{q: a product of gens taking p to q} over the orbit of p."""
+    reps = {p: identity}
+    queue = [p]
+    for q in queue:
+        u = reps[q]
+        for g in gens:
+            if g[q] not in reps:
+                reps[g[q]] = tuple(g[x] for x in u)
+                queue.append(g[q])
+    return reps
+
+
+def _search_base(inc: IncidenceStructure) -> list[int]:
+    """The nonzero points in the search's order: e1, e2, e1 + e2, then
+    always the first point on the most lines that hold two or more points
+    already placed.  The order depends on which points are placed, never
+    on their images, so every branch of the search follows it."""
+    size, m = inc.size, inc.m
+    count = [mask & 1 for mask in inc.masks]  # 0 is placed first
     score = [-size] + [0] * (size - 1)
-    e1, e2, e12 = (point_index(p, inc.m) for p in ((1, 0), (0, 1), (1, 1)))
-
-    perms = []
-    nodes = 0
-
-    def assign(p: int, v: int):
-        nonlocal nodes, used
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceededError(nodes)
-        img[p] = v
+    base = []
+    for depth in range(size - 1):
+        # the indices of e1, e2 and e1 + e2 come first
+        p = (m, 1, m + 1)[depth] if depth < 3 else score.index(max(score))
+        base.append(p)
         score[p] -= size
-        bit = 1 << v
-        used |= bit
-        for li in through[p]:
-            got = line_imgs[li]
-            if got and not got & (got - 1):
-                for q in members[li]:
+        for li in inc.through[p]:
+            count[li] += 1
+            if count[li] == 2:
+                for q in _iter_bits(inc.masks[li]):
                     score[q] += 1
-            line_imgs[li] = got | bit
-
-    def undo(p: int, v: int):
-        nonlocal used
-        score[p] += size
-        bit = 1 << v
-        used ^= bit
-        for li in through[p]:
-            got = line_imgs[li] ^ bit
-            line_imgs[li] = got
-            if got and not got & (got - 1):
-                for q in members[li]:
-                    score[q] -= 1
-
-    def candidates(p: int) -> int:
-        allowed = full
-        for li in through[p]:
-            got = line_imgs[li]
-            rest = got & (got - 1)
-            if not rest:
-                continue
-            # every line holding all of got passes through its two lowest
-            key = ((got & -got).bit_length() - 1, (rest & -rest).bit_length() - 1)
-            union = 0
-            for ci in pair_lines[key]:
-                cm = masks[ci]
-                if got & ~cm == 0:
-                    union |= cm
-            allowed &= union
-            if not allowed:
-                return 0
-        return allowed & ~used
-
-    def next_point(depth: int) -> int:
-        if depth == 2:
-            return e2
-        if depth == 3:
-            return e12
-        return score.index(max(score))
-
-    def dfs(depth: int):
-        if depth == size:
-            perms.append(tuple(img))
-            return
-        p = next_point(depth)
-        for v in _iter_bits(candidates(p)):
-            assign(p, v)
-            dfs(depth + 1)
-            undo(p, v)
-
-    assign(e1, first)
-    dfs(2)
-    return perms, nodes
+    return base
 
 
-def _search_task(args):
-    """(stabilizer permutations, nodes), with None for the permutations
-    when the task ran past its budget."""
-    n, m, first, budget = args
-    try:
-        return _search(build_incidence(n, m), first, budget)
-    except BudgetExceededError as err:
-        return None, err.nodes
-
-
-def _fork_task(task) -> tuple[int, int]:
-    """Run _search_task(task) in a forked child that writes the marshalled
-    result to a pipe and leaves by os._exit, so that it neither flushes the
-    parent's stdio nor runs its exit hooks.  Returns (pid, read end)."""
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read)
-        os.close(write)
-        raise
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read)
-            with open(write, "wb") as out:
-                out.write(marshal.dumps(_search_task(task)))
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write)
-    return pid, read
-
-
-def _join_oldest(children: list[tuple[int, int]]):
-    """Read and reap the oldest child of _fork_task and drop it from
-    children; its result, or RuntimeError when it ended without one."""
-    pid, read = children[0]
-    with open(read, "rb", closefd=False) as pipe:
-        data = pipe.read()
-    _, status = os.waitpid(pid, 0)
-    children.pop(0)
-    os.close(read)
-    if status or not data:
-        raise RuntimeError("a search worker ended without a result")
-    return marshal.loads(data)
+def _linear_perm(a, m: int) -> tuple[int, ...]:
+    (p, q), (r, s) = a
+    return tuple(
+        (p * x + q * y) % m * m + (r * x + s * y) % m
+        for x in range(m)
+        for y in range(m)
+    )
 
 
 def _gl2_generators(m: int) -> list[tuple[tuple[int, int], ...]]:
@@ -491,30 +409,135 @@ def _gl2_generators(m: int) -> list[tuple[tuple[int, int], ...]]:
     return gens
 
 
-def _divisor_classes(n: int, m: int) -> list[tuple[int, int]]:
-    """(d, weight) for each proper divisor d of m, where weight counts the
-    nonzero points f with gcd(f, m) = d.  These are the orbits of GL_n(Z/m)
-    on the nonzero points: each such f is d times a unimodular vector."""
-    weights = Counter(gcd(*p, m) for p in iproduct(range(m), repeat=n))
-    return [(d, weights[d]) for d in range(1, m) if m % d == 0]
+def _search(inc: IncidenceStructure, budget: int):
+    """The stabilizer of 0 by orbits along _search_base (Sims): (base, orbit
+    lengths, strong generators, nodes), or BudgetExceededError.
+
+    The identity is placed along the whole base once; then the levels are
+    taken from the deepest up, each undoing one base point.  At level i the
+    orbit of base[i] under the generators fixing base[:i] is grown: each
+    candidate image outside it and not yet ruled out gets a search for one
+    completion, which becomes a new generator, or, when there is none,
+    rules out its whole orbit.  GL_2(Z/m) seeds the generators, with
+    [[1, 1], [0, 1]] and diag(1, u), which fix e1, for the level of e2.
+    A line's only state is the bitmask of its images; candidates lie on a
+    line holding every image of each line through the point, and any two
+    distinct points share a line.  A map fixing 0 takes the lines through
+    0 and p one-to-one onto those through 0 and f(p), so a candidate also
+    has as many of them as p."""
+    size, m = inc.size, inc.m
+    through = inc.through
+    masks = inc.masks
+    pair_lines = inc.pair_lines
+    base = _search_base(inc)
+    identity = tuple(range(size))
+
+    lines0 = [len(pair_lines[0, x]) for x in range(1, size)]
+    same = {}  # lines through 0 and x -> the points x with that many
+    for x, k in enumerate(lines0, 1):
+        same[k] = same.get(k, 0) | 1 << x
+    allowed0 = [0] + [same[k] for k in lines0]
+
+    img = [0] * size
+    used = 1
+    line_imgs = [mask & 1 for mask in masks]  # 0 is its own image
+    nodes = 0
+
+    def assign(p: int, v: int):
+        nonlocal nodes, used
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceededError(nodes)
+        img[p] = v
+        bit = 1 << v
+        used |= bit
+        for li in through[p]:
+            line_imgs[li] |= bit
+
+    def undo(p: int, v: int):
+        nonlocal used
+        bit = 1 << v
+        used ^= bit
+        for li in through[p]:
+            line_imgs[li] ^= bit
+
+    def candidates(p: int) -> int:
+        allowed = allowed0[p]
+        for li in through[p]:
+            got = line_imgs[li]
+            rest = got & (got - 1)
+            if not rest:
+                continue
+            # every line holding all of got passes through its two lowest
+            key = ((got & -got).bit_length() - 1, (rest & -rest).bit_length() - 1)
+            union = 0
+            for ci in pair_lines[key]:
+                cm = masks[ci]
+                if got & ~cm == 0:
+                    union |= cm
+            allowed &= union
+            if not allowed:
+                return 0
+        return allowed & ~used
+
+    def completion(depth: int):
+        """The first map extending the placed base[:depth], or None; the
+        placements are left as found."""
+        trail = []  # (point, image, candidates not yet tried) per depth
+        while depth < len(base):
+            todo = candidates(base[depth])
+            while not todo:
+                if not trail:
+                    return None
+                p, v, todo = trail.pop()
+                undo(p, v)
+                depth -= 1
+            v = (todo & -todo).bit_length() - 1
+            assign(base[depth], v)
+            trail.append((base[depth], v, todo ^ 1 << v))
+            depth += 1
+        perm = tuple(img)
+        for p, v, _ in trail:
+            undo(p, v)
+        return perm
+
+    gl2 = _gl2_generators(m)
+    seeds = gl2 + [((1, 0), (0, u)) for (u, _), _ in gl2[2:]]
+    gens = [(_level(g, base), g) for g in (_linear_perm(a, m) for a in seeds)]
+    for p in base:
+        assign(p, p)
+    orbits = [1] * len(base)
+    for level in reversed(range(len(base))):
+        p = base[level]
+        undo(p, p)
+        here = [g for j, g in gens if j >= level]
+        orbit = _transversal(p, here, identity)
+        dead = set()
+        for v in _iter_bits(candidates(p)):
+            if v in orbit or v in dead:
+                continue
+            assign(p, v)
+            perm = completion(level + 1)
+            undo(p, v)
+            if perm is None:
+                dead.update(_transversal(v, here, identity))
+            else:
+                gens.append((level, perm))
+                here.append(perm)
+                orbit = _transversal(p, here, identity)
+        orbits[level] = len(orbit)
+    return tuple(base), tuple(orbits), tuple(g for _, g in gens), nodes
 
 
 def collineation_group(
     n: int, m: int, workers: int = 1, budget: int | None = None
 ) -> GroupSummary:
-    """Exact order of the full collineation group of the (n, m) grid, by
-    exhaustive search over the point stabilizer and orbit-stabilizer with
-    the translations.  A linear A maps the stabilizer elements with e1 -> f
-    one-to-one onto those with e1 -> Af, so one task per proper divisor d of
-    m pins e1 to (d, 0) and counts for every f with gcd(f, m) = d.
-    Deterministic for any worker count.  With two or more workers and two
-    or more proper divisors of m, each task runs in a forked child, at most
-    `workers` at a time, and the results are folded in task order.  The
-    budget caps the folded total: one worker gives each task what is left;
-    a forked task gets the whole budget, and the first result, in task
-    order, that takes the total past it stops the search and kills the
-    children still running.  A grid whose table would hold more than
-    MAX_POINTS point pairs is refused before any of it is built."""
+    """Exact order of the full collineation group of the (n, m) grid: the
+    translations are transitive on the points, so the order is m^2 times
+    that of the stabilizer of 0, which `_search` counts orbit by orbit.
+    `workers` is accepted and changes nothing.  The budget caps the nodes,
+    and the search stops at node budget + 1.  A grid whose table would hold
+    more than MAX_POINTS point pairs is refused before any of it is built."""
     if n != 2:
         raise ValueError("exhaustive search is implemented for dimension 2 only")
     size = m**n
@@ -524,60 +547,19 @@ def collineation_group(
             f"the incidence table would hold {pairs} point pairs, "
             f"more than {MAX_POINTS}"
         )
-    if budget is None:
-        budget = DEFAULT_NODE_BUDGET
-    build_incidence(n, m)  # before any fork, so that workers inherit it
-    classes = _divisor_classes(n, m)
-    firsts = [point_index((d, 0), m) for d, _ in classes]
-    workers = min(workers, len(firsts), os.cpu_count() or 1)
-    found = []
-    total_nodes = 0
-
-    def take(perms, nodes):
-        nonlocal total_nodes
-        total_nodes += nodes
-        if perms is None or total_nodes > budget:
-            raise BudgetExceededError(total_nodes)
-        found.append(tuple(perms))
-
-    if workers <= 1:
-        for first in firsts:
-            take(*_search_task((n, m, first, budget - total_nodes)))
-    else:
-        from signal import SIGKILL
-
-        children = []  # (pid, read end) of each running task, oldest first
-        try:
-            for first in firsts:
-                children.append(_fork_task((n, m, first, budget)))
-                if len(children) == workers:
-                    take(*_join_oldest(children))
-            while children:
-                take(*_join_oldest(children))
-        finally:
-            for pid, read in children:
-                os.kill(pid, SIGKILL)
-                os.waitpid(pid, 0)
-                os.close(read)
-    order = size * sum(w * len(perms) for (_, w), perms in zip(classes, found))
+    base, orbits, generators, nodes = _search(
+        build_incidence(n, m), DEFAULT_NODE_BUDGET if budget is None else budget
+    )
+    order = size * prod(orbits)
     affine = affine_group_order(n, m)
     if order % affine:
         raise AssertionError("affine subgroup order does not divide group order")
-    unit = identity(n)
-    steps = (RatPoint(tuple(Fraction(c, m) for c in e)) for e in unit)
-    translations = tuple(
-        affine_table(AffineTorusAuto(unit, step, m), n, m) for step in steps
-    )
-    linear = tuple(
-        affine_table(AffineTorusAuto(a, origin(n), m), n, m)
-        for a in _gl2_generators(m)
-    )
     return GroupSummary(
         order=order,
         affine_order=affine,
         index=order // affine,
-        nodes=total_nodes,
-        translations=translations,
-        linear=linear,
-        tasks=tuple(zip(firsts, found)),
+        nodes=nodes,
+        base=base,
+        orbits=orbits,
+        generators=generators,
     )

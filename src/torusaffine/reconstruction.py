@@ -226,16 +226,21 @@ def _blocks_preserved(f: GridMap) -> bool:
         return False
     shift = RatPoint(tuple(Fraction(c, m) for c in f.image_of((0, 0))))
     back = affine_table(AffineTorusAuto(matrix, shift, m).inverse(), 2, m)
-    h = [divmod(back[i], m) for i in f.images]
-    for x0, y0, d in product(range(m), range(m), range(1, m)):
-        x1, y1 = (x0 + d) % m, (y0 + d) % m
-        xs, ys = zip(*(h[x * m + y] for x in (x0, x1) for y in (y0, y1)))
-        cols, rows = set(xs), set(ys)
-        if len(cols) != 2 or len(rows) != 2:
-            return False
-        (u, v), (s, t) = cols, rows
-        if (v - u - t + s) % m and (v - u + t - s) % m:
-            return False
+    hx = [back[i] // m for i in f.images]
+    hy = [back[i] % m for i in f.images]
+    # r0 and r1 are the flat indices of (x0, 0) and (x0 + d, 0)
+    for r0, d in product(range(0, m * m, m), range(1, m)):
+        r1 = (r0 + d * m) % (m * m)
+        for y0 in range(m):
+            y1 = (y0 + d) % m
+            a, b, c, e = r0 + y0, r0 + y1, r1 + y0, r1 + y1
+            cols = {hx[a], hx[b], hx[c], hx[e]}
+            rows = {hy[a], hy[b], hy[c], hy[e]}
+            if len(cols) != 2 or len(rows) != 2:
+                return False
+            (u, v), (s, t) = cols, rows
+            if (v - u - t + s) % m and (v - u + t - s) % m:
+                return False
     return True
 
 

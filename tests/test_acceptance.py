@@ -419,7 +419,7 @@ def test_search_orders_match_affine_counts_at_primes():
     fields5 = dict(line.split() for line in out5.splitlines())
     assert int(fields5["collineation_order"]) == 12000 == affine_group_order(2, 5)
     assert int(fields5["index"]) == 1
-    assert int(fields5["nodes"]) == 2276
+    assert int(fields5["nodes"]) == 186
     print(
         f"search at prime moduli: m=3 order 432 (nodes {fields['nodes']}, "
         f"identical for 1/2/4 workers), m=5 order 12000 in {dt5:.1f}s <= 300s"
@@ -450,6 +450,32 @@ def test_collineations_are_affine_exactly_when_parallels_and_blocks_hold():
     print(
         f"collineations fixing 0 at m = 3..6: {sum(s for s, _ in counts.values())} "
         f"maps, affine exactly when parallels and blocks hold, {dt:.1f}s <= 60s"
+    )
+    assert dt <= 60
+
+
+def test_normalized_collineations_are_affine_exactly_when_parallels_and_blocks_hold():
+    # The same theorem at m = 7, 8 and 9, over the normalized collineations
+    # (those fixing 0, e1 and e2).  Every collineation is one affine map
+    # after exactly one of them, and an affine map changes neither
+    # property, so they stand for the whole group.
+    t0 = perf_counter()
+    counts = {}
+    for m in (7, 8, 9):
+        affine = 0
+        normalized = list(collineation_group(2, m).stabilizer(2))
+        for perm in normalized:
+            report = check_paper_properties(GridMap(2, m, perm))
+            is_affine = is_affine_perm(2, m, perm) is not None
+            assert report.parallels_preserved == report.blocks_preserved == is_affine
+            affine += is_affine
+        counts[m] = (len(normalized), affine)
+    dt = perf_counter() - t0
+    # (normalized maps, affine among them): the identity is the only affine one
+    assert counts == {7: (1, 1), 8: (256, 1), 9: (27, 1)}
+    print(
+        f"normalized collineations at m = 7, 8, 9: 284 maps, affine exactly "
+        f"when parallels and blocks hold, {dt:.1f}s <= 60s"
     )
     assert dt <= 60
 

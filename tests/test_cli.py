@@ -414,14 +414,13 @@ def test_oracle_agrees_with_exact_count():
 def test_search_m3_report(capsys):
     code, out, err = run(capsys, "search", "--m", "3")
     assert code == 0
-    assert out == "collineation_order 432\naffine_order 432\nindex 1\nnodes 80\n"
+    assert out == "collineation_order 432\naffine_order 432\nindex 1\nnodes 20\n"
     assert err.startswith("runtime ")
 
 
 def test_search_stdout_deterministic_across_workers(capsys):
     outs = {run(capsys, "search", "--m", "3", "--workers", str(w))[1] for w in (1, 2)}
     assert len(outs) == 1
-    # m = 3 runs one task; m = 4 (two divisor classes) and m = 6 (three) fork
     for m in ("4", "6"):
         outs = {run(capsys, "search", "--m", m, "--workers", str(w))[1] for w in (1, 2)}
         assert len(outs) == 1
@@ -619,7 +618,7 @@ print(" ".join(sorted(sys.modules)))
 """
 
 # What only intersect, oracle and svg need, and what no subcommand needs:
-# the value classes are hand-written and the search forks without a pool
+# the value classes are hand-written and the search runs in one process
 NOT_FOR_GRID_COMMANDS = {
     "torusaffine.geometry",
     "torusaffine.lattice",
@@ -646,7 +645,6 @@ def test_grid_commands_load_only_their_modules(tmp_path):
         assert {"torusaffine.fileformat", "torusaffine.reconstruction"} <= loaded
         assert not loaded & NOT_FOR_GRID_COMMANDS, argv[0]
     assert (tmp_path / "verdict.txt").read_text().startswith("AFFINE\n")
-    # m = 4 has two divisor classes, so two workers fork
     for m, workers in (("3", "1"), ("4", "2")):
         argv = ("search", "--m", m, "--workers", workers, "--out", tmp_path / "s")
         loaded = footprint(*argv)

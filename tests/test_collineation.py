@@ -6,7 +6,6 @@ every stabilizer permutation with a brute-force line-image test (see
 test_m4_stabilizer_is_genuine below, which repeats that audit).
 """
 
-import os
 from itertools import product
 from math import gcd
 
@@ -14,7 +13,6 @@ import pytest
 
 from torusaffine import collineation
 from torusaffine.collineation import (
-    DEFAULT_NODE_BUDGET,
     BudgetExceededError,
     DiscreteLine,
     affine_group_order,
@@ -28,9 +26,9 @@ from torusaffine.collineation import (
     lines_through,
     point_index,
     primitive_lift,
-    _divisor_classes,
+    _search_base,
+    _generators,
     _gl2_generators,
-    _search,
 )
 from torusaffine.geometry import RatPoint, line_grid_points, line_through
 from fractions import Fraction
@@ -109,6 +107,32 @@ def test_line_walk_matches_coset_oracle(n, m):
     for base, gen in keys:
         line = DiscreteLine(n, m, gen, base)
         assert (line.base, line.generator) == (base, gen)
+
+
+@pytest.mark.parametrize(
+    "n,m",
+    [(2, m) for m in range(3, 33)]
+    + [(3, m) for m in range(3, 13)]
+    + [(4, 3), (4, 4), (4, 6), (5, 3)],
+)
+def test_line_walk_matches_pairwise_base_test(n, m):
+    # the walk's per-generator base boxes against the pairwise definition:
+    # p is the base of p + <g> when, with the earlier coordinates held, no
+    # multiple of g lowers the next one
+    def is_base(p, g):
+        step = 1
+        for x, y in zip(p, g):
+            c = gcd(step * y, m)
+            if x >= c:
+                return False
+            step *= m // c
+        return True
+
+    gens = _generators(n, m)
+    expected = [
+        (p, g) for p in product(range(m), repeat=n) for g in gens if is_base(p, g)
+    ]
+    assert list(enumerate_discrete_lines(n, m)) == expected
 
 
 @pytest.mark.parametrize(
@@ -253,21 +277,13 @@ def test_group_m3():
 
 
 def test_group_m5_and_worker_independence():
-    runs = [collineation_group(2, 5, workers=w) for w in (1, 2)]
-    for got in runs:
-        assert got.order == 12000
-        assert got.affine_order == 12000
-        assert got.index == 1
-    assert runs[0].nodes == runs[1].nodes
-    assert runs[0].generators == runs[1].generators
-    # m = 5 has one divisor class and never forks; m = 4 and 6 have 2 and 3
-    for m, tasks in ((4, 2), (6, 3)):
-        one, two = (collineation_group(2, m, workers=w) for w in (1, 2))
-        assert len(one.tasks) == tasks
-        assert one.nodes == two.nodes
-        assert one.generators == two.generators
-        assert one == two
-    assert_no_children()
+    got = collineation_group(2, 5)
+    assert (got.order, got.affine_order, got.index) == (12000, 12000, 1)
+    # workers is accepted and changes nothing
+    for m in (4, 5, 6):
+        one = collineation_group(2, m)
+        for workers in (2, 10**6):
+            assert collineation_group(2, m, workers=workers) == one
 
 
 def test_group_m4_exceeds_affine():
@@ -275,6 +291,35 @@ def test_group_m4_exceeds_affine():
     assert got.order == 6144
     assert got.affine_order == 1536
     assert got.index == 4
+
+
+@pytest.mark.parametrize(
+    "m,order,index",
+    [(7, 98784, 1), (8, 25165824, 256), (9, 8503056, 27), (12, 2654208, 4)],
+)
+def test_census_orders(m, order, index):
+    got = collineation_group(2, m)
+    assert (got.order, got.index) == (order, index)
+    assert got.affine_order == affine_group_order(2, m) == order // index
+
+
+def test_order_at_12_is_the_crt_product():
+    # a line of (Z/12)^2 is the product of its reductions mod 3 and mod 4
+    orders = {m: collineation_group(2, m).order for m in (3, 4, 12)}
+    assert orders[12] == orders[3] * orders[4]
+
+
+@pytest.mark.parametrize("m,count", [(3, 1), (4, 4), (5, 1), (8, 256), (9, 27)])
+def test_normalized_maps_number_the_index(m, count):
+    # every collineation is one affine map after one normalized map, which
+    # fixes 0, e1 and e2
+    got = collineation_group(2, m)
+    assert got.base[:3] == (point_index((1, 0), m), point_index((0, 1), m), m + 1)
+    assert sorted(got.base) == list(range(1, m * m))
+    normalized = list(got.stabilizer(2))
+    assert len(normalized) == len(set(normalized)) == count == got.index
+    for f in normalized:
+        assert [f[p] for p in (0, *got.base[:2])] == [0, *got.base[:2]]
 
 
 def test_m4_stabilizer_is_genuine():
@@ -314,18 +359,70 @@ def test_group_generators_are_collineations_m3():
                 assert image in line_sets
 
 
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_stabilizer_yields_each_collineation_fixing_0_once(m):
+    got = collineation_group(2, m)
+    line_sets = {
+        frozenset(point_index(p, m) for p in line.points)
+        for line in build_incidence(2, m).lines
+    }
+    stabilizer = list(got.stabilizer())
+    assert len(stabilizer) == len(set(stabilizer)) == got.order // (m * m)
+    for perm in stabilizer:
+        assert perm[0] == 0 and sorted(perm) == list(range(m * m))
+        assert all(frozenset(perm[i] for i in line) in line_sets for line in line_sets)
+
+
+def every_collineation_fixing_0(m):
+    """Oracle: plain backtracking over every image of every point, with no
+    group theory.  A point's candidates lie, for each line through it, on
+    every line that holds the images already placed on that line."""
+    inc = build_incidence(2, m)
+    size, masks = inc.size, inc.masks
+    line_imgs = [mask & 1 for mask in masks]
+    img = [0] * size
+    found = []
+
+    def candidates(p, used):
+        allowed = (1 << size) - 1 & ~used
+        for li in inc.through[p]:
+            got = line_imgs[li]
+            rest = got & (got - 1)
+            if rest:
+                pair = ((got & -got).bit_length() - 1, (rest & -rest).bit_length() - 1)
+                union = 0
+                for other in inc.pair_lines[pair]:
+                    if got & ~masks[other] == 0:
+                        union |= masks[other]
+                allowed &= union
+        return allowed
+
+    def dfs(order, used):
+        if not order:
+            found.append(tuple(img))
+            return
+        p = order[0]
+        allowed = candidates(p, used)
+        for v in range(size):
+            if allowed >> v & 1:
+                img[p] = v
+                for li in inc.through[p]:
+                    line_imgs[li] |= 1 << v
+                dfs(order[1:], used | 1 << v)
+                for li in inc.through[p]:
+                    line_imgs[li] ^= 1 << v
+
+    dfs(_search_base(inc), 1)
+    return found
+
+
 @pytest.mark.parametrize("m", [3, 4, 5])
 def test_stabilizer_matches_search_from_every_image_of_e1(m):
-    # oracle: one unreduced search task per nonzero image f of e1
-    inc = build_incidence(2, m)
-    oracle = set()
-    for first in range(1, m * m):
-        oracle.update(_search(inc, first, DEFAULT_NODE_BUDGET)[0])
+    oracle = every_collineation_fixing_0(m)
     got = collineation_group(2, m)
     stabilizer = list(got.stabilizer())
     assert len(stabilizer) == len(oracle) == got.order // (m * m)
-    assert set(stabilizer) == oracle
-    assert sum(weight for _, weight in _divisor_classes(2, m)) == m * m - 1
+    assert set(stabilizer) == set(oracle)
 
 
 def test_linear_generators_reach_every_determinant():
@@ -340,76 +437,24 @@ def test_linear_generators_reach_every_determinant():
 
 
 def test_budget_is_enforced():
-    # the budget caps all tasks together: the search stops at node 101
+    # the budget caps every node: the search stops at node 101
     with pytest.raises(BudgetExceededError) as err:
         collineation_group(2, 5, budget=100)
     assert err.value.nodes == 101
-
-
-def assert_no_children():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_workers_are_clamped_to_cpu_count(monkeypatch):
-    running = [0]
-    peak = [0]
-    fork, join = collineation._fork_task, collineation._join_oldest
-
-    def counted_fork(task):
-        running[0] += 1
-        peak[0] = max(peak[0], running[0])
-        return fork(task)
-
-    def counted_join(children):
-        running[0] -= 1
-        return join(children)
-
-    monkeypatch.setattr(collineation, "_fork_task", counted_fork)
-    monkeypatch.setattr(collineation, "_join_oldest", counted_join)
-    # neither one divisor class (m = 3) nor one core forks
-    assert collineation_group(2, 3, workers=10**6).order == 432
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    assert collineation_group(2, 4, workers=10**6).order == 6144
-    assert peak[0] == 0
-    # m = 4 has two divisor classes, so at most 2 children run at once
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    assert collineation_group(2, 4, workers=10**6).order == 6144
-    assert peak[0] == 2
-    assert_no_children()
-
-
-def test_forked_overrun_stops_at_the_first_in_task_order(monkeypatch):
-    # every forked task gets the whole budget; the second of m = 6's three
-    # tasks takes the folded total past it
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    # a budget of exactly the search's nodes is enough
+    nodes = collineation_group(2, 5).nodes
+    assert collineation_group(2, 5, budget=nodes).nodes == nodes
     with pytest.raises(BudgetExceededError) as err:
-        collineation_group(2, 6, workers=2, budget=50000)
-    assert err.value.nodes == 79114
-    assert_no_children()
+        collineation_group(2, 5, budget=nodes - 1)
+    assert err.value.nodes == nodes
 
 
-@pytest.mark.parametrize("where", ["child", "parent"])
-def test_a_failed_fan_out_leaves_no_child(monkeypatch, where):
-    def broken(*args):
-        raise ValueError("broken search")
-
-    join = collineation._join_oldest
-
-    def interrupted(children):
-        join(children)
-        raise KeyboardInterrupt
-
-    if where == "child":
-        monkeypatch.setattr(collineation, "_search", broken)
-        expected = RuntimeError
-    else:
-        monkeypatch.setattr(collineation, "_join_oldest", interrupted)
-        expected = KeyboardInterrupt
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    with pytest.raises(expected):
-        collineation_group(2, 6, workers=2)
-    assert_no_children()
+def test_two_workers_stop_at_the_budget_ceiling():
+    # one ceiling for any worker count: m = 6 stops at node 501 of 687
+    for workers in (1, 2):
+        with pytest.raises(BudgetExceededError) as err:
+            collineation_group(2, 6, workers=workers, budget=500)
+        assert err.value.nodes == 501
 
 
 def test_search_requires_dimension_two():
