@@ -15,10 +15,8 @@ _EXPORTS = {
         ("affine", "AffineTorusAuto"),
         (
             "collineation",
-            "BudgetExceededError DiscreteLine GroupSummary affine_group_order "
-            "build_incidence canonical_generator collineation_group "
-            "enumerate_discrete_lines is_affine_perm line_points lines_through "
-            "primitive_lift",
+            "BudgetExceededError GroupSummary affine_group_order build_incidence "
+            "collineation_group",
         ),
         ("fileformat", "TorusMapFormatError emit_torusmap parse_torusmap"),
         (
@@ -27,6 +25,11 @@ _EXPORTS = {
             "block_criterion contains_point grid_oracle_count "
             "intersection_count_2d intersection_points is_block "
             "line_grid_points line_hyperplane_count line_through",
+        ),
+        (
+            "grid",
+            "DiscreteLine canonical_generator enumerate_discrete_lines "
+            "is_affine_perm line_points lines_through primitive_lift",
         ),
         (
             "lattice",

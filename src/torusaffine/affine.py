@@ -4,8 +4,9 @@ from __future__ import annotations
 
 from math import gcd
 
+from .common import Frozen
 from .intmat import Matrix, det, frac_matvec, identity as identity_matrix
-from .ratpoint import Frozen, RatPoint, origin
+from .ratpoint import RatPoint, origin
 
 
 def balanced_residue(x: int, m: int) -> int:

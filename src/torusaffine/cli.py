@@ -18,15 +18,17 @@ import argparse
 import os
 import sys
 import time
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .ratpoint import MAX_POINTS, RatPoint, parse_rational
+from .common import MAX_POINTS
 
 # Each subcommand imports the library modules it runs, so a process loads
-# only those: gen, reconstruct and search never load geometry or lattice.
+# only those: reconstruct loads fractions, ratpoint and affine only for an
+# affine verdict, search loads none of them, and only search loads the
+# collineation search.
 if TYPE_CHECKING:
     from .affine import AffineTorusAuto
+    from .ratpoint import RatPoint
     from .reconstruction import GridMap, Witness
 
 
@@ -48,6 +50,8 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 
 
 def _parse_rationals(text: str) -> RatPoint:
+    from .ratpoint import RatPoint, parse_rational
+
     try:
         coords = tuple(parse_rational(tok) for tok in text.split(","))
     except (ValueError, ZeroDivisionError) as err:
@@ -94,10 +98,12 @@ def _line_from_args(dir_text: str, base_text: str):
 def generate_map(n: int, m: int, seed: int, kind: str) -> GridMap:
     """Deterministic test-data generator for one seed."""
     import random
+    from fractions import Fraction
     from math import gcd
 
     from .affine import AffineTorusAuto, balanced_residue
     from .intmat import det
+    from .ratpoint import RatPoint
     from .reconstruction import GridMap
 
     if m < 3:
@@ -164,9 +170,8 @@ def _witness_report(witness: Witness, n: int, m: int, f: GridMap) -> str:
 
 
 def _cmd_reconstruct(args) -> int:
-    from .affine import AffineTorusAuto
     from .fileformat import parse_torusmap
-    from .reconstruction import NonaffineCollineationError, infer_affine
+    from .reconstruction import NonaffineCollineationError, Witness, infer_affine
 
     f = parse_torusmap(_read_text(args.file))
     try:
@@ -177,11 +182,11 @@ def _cmd_reconstruct(args) -> int:
             f"NONAFFINE\nn={f.n} m={f.m}\nline_preserving true\n",
         )
         return 1
-    if isinstance(verdict, AffineTorusAuto):
-        _write_text(args.out, _affine_report(verdict, f.n, f.m))
-        return 0
-    _write_text(args.out, _witness_report(verdict, f.n, f.m, f))
-    return 1
+    if isinstance(verdict, Witness):
+        _write_text(args.out, _witness_report(verdict, f.n, f.m, f))
+        return 1
+    _write_text(args.out, _affine_report(verdict, f.n, f.m))
+    return 0
 
 
 # --------------------------------------------- intersect and oracle

@@ -1,27 +1,23 @@
-"""Discrete torus incidence structures and their full collineation groups.
+"""Incidence tables of the torus grid and the full collineation groups of
+its T^2 case.
 
-Points are the m^n residue tuples.  Lines are the cosets of the order-m
-cyclic subgroups whose generators lift to primitive integer directions --
-exactly the grid shadows of rational torus lines.  The group is counted
-exactly, never estimated: the translations are transitive on the points,
-and the stabilizer of 0 is counted orbit by orbit along a base, by
-backtracking with incidence propagation that stops at the first map each
-new orbit point needs.
+The group is counted exactly, never estimated: the translations are
+transitive on the points, and the stabilizer of 0 is counted orbit by orbit
+along a base, by backtracking with incidence propagation that stops at the
+first map each new orbit point needs.  The lines and points are those of
+:mod:`torusaffine.grid`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from fractions import Fraction
 from functools import lru_cache
-from itertools import product as iproduct
-from math import gcd, prod
-from typing import TYPE_CHECKING
+from math import prod
 
-from .ratpoint import MAX_POINTS, Frozen, RatPoint
-
-if TYPE_CHECKING:  # imported in is_affine_perm, so that `search` never loads it
-    from .affine import AffineTorusAuto
+from .common import MAX_POINTS, Frozen
+from .grid import (
+    DiscreteLine, _factorize, _units, enumerate_discrete_lines, point_index
+)
 
 DEFAULT_NODE_BUDGET = 10**9
 
@@ -32,154 +28,6 @@ class BudgetExceededError(RuntimeError):
     def __init__(self, nodes: int):
         super().__init__(f"search exceeded its node budget ({nodes} nodes)")
         self.nodes = nodes
-
-
-def point_index(p: tuple[int, ...], m: int) -> int:
-    idx = 0
-    for c in p:
-        idx = idx * m + c % m
-    return idx
-
-
-def index_point(idx: int, n: int, m: int) -> tuple[int, ...]:
-    coords = []
-    for _ in range(n):
-        idx, c = divmod(idx, m)
-        coords.append(c)
-    return tuple(reversed(coords))
-
-
-@lru_cache(maxsize=None)
-def _units(m: int) -> tuple[int, ...]:
-    return tuple(u for u in range(1, m) if gcd(u, m) == 1)
-
-
-def canonical_generator(gen: tuple[int, ...], m: int) -> tuple[int, ...]:
-    """Lexicographically least generator of the cyclic subgroup <gen>."""
-    return min(tuple(u * x % m for x in gen) for u in _units(m))
-
-
-def primitive_lift(gen: tuple[int, ...], m: int) -> tuple[int, ...]:
-    """A primitive integer vector congruent to gen mod m.
-
-    Exists whenever gcd(gen, m) = 1 and, in dimension 1, gen = +-1 mod m.
-    gen[1] shifts by t*m, t the product of the primes of a = gen[0] (or m
-    for 0) that miss some later entry; the other primes of a divide every
-    later entry, so they are prime to m and to t and miss gen[1] + t*m.
-    """
-    if gcd(*gen, m) != 1:
-        raise ValueError("generator shares a factor with the modulus")
-    if len(gen) == 1:
-        if (gen[0] - 1) % m and (gen[0] + 1) % m:
-            raise ValueError("a one-dimensional lift must be +-1 mod m")
-        return (1,) if (gen[0] - 1) % m == 0 else (-1,)
-    a = gen[0] or m
-    t = prod(p for p, _ in _factorize(abs(a)) if any(x % p for x in gen[1:]))
-    return (a, gen[1] + t * m, *gen[2:])
-
-
-def line_points(
-    base: tuple[int, ...], gen: tuple[int, ...], m: int
-) -> list[tuple[int, ...]]:
-    """The points base + k·gen of a line, for k = 0 … m−1."""
-    return [tuple((b + k * g) % m for b, g in zip(base, gen)) for k in range(m)]
-
-
-class DiscreteLine(Frozen):
-    """A coset of an order-m cyclic subgroup with primitive-liftable
-    generator, stored canonically: lex-least generator, lex-least base.
-    ``points`` lists the line's points in order; equality ignores it."""
-
-    __slots__ = ("n", "m", "generator", "base", "points")
-    _uncompared = ("points",)
-
-    def __init__(
-        self, n: int, m: int, generator: tuple[int, ...], base: tuple[int, ...]
-    ):
-        if len(generator) != n or len(base) != n:
-            raise ValueError("dimension mismatch")
-        if gcd(*generator, m) != 1:
-            raise ValueError("generator shares a factor with the modulus")
-        gen = canonical_generator(generator, m)
-        pts = sorted(line_points(base, gen, m))
-        super().__init__(n, m, gen, pts[0], tuple(pts))
-
-
-def lines_through(
-    a: tuple[int, ...], b: tuple[int, ...], m: int
-) -> list[DiscreteLine]:
-    """Every discrete line through the distinct grid points a and b, sorted
-    by generator.
-
-    With d = b - a and e = gcd(d, m), the line a + <g> contains b exactly
-    when e*g = d for a suitable generator g, so the candidates are
-    g = d/e + (m/e)*t for t in (Z/e)^n, kept when gcd(g, m) = 1.
-    """
-    n = len(a)
-    d = tuple((y - x) % m for x, y in zip(a, b))
-    e = gcd(*d, m)
-    if e == m:
-        raise ValueError("the two points coincide")
-    step = m // e
-    gens = set()
-    for t in iproduct(range(e), repeat=n):
-        g = tuple(x // e + step * s for x, s in zip(d, t))
-        if gcd(*g, m) == 1:
-            gens.add(canonical_generator(g, m))
-    return [DiscreteLine(n, m, g, a) for g in sorted(gens)]
-
-
-def _generators(n: int, m: int) -> list[tuple[int, ...]]:
-    """The sorted canonical generators of the order-m cyclic subgroups: a
-    lexicographic walk meets each orbit under the units first at its least
-    member, so marking the orbit there keeps exactly those."""
-    gens = []
-    seen = set()
-    for g in iproduct(range(m), repeat=n):
-        if gcd(*g, m) == 1 and g not in seen:
-            gens.append(g)
-            seen.update(tuple(u * x % m for x in g) for u in _units(m))
-    return gens
-
-
-def _base_box(g: tuple[int, ...], m: int) -> tuple[int, ...]:
-    """The corner c of the bases of the lines along g: p is the
-    lexicographically least point of p + <g> exactly when p < c in every
-    coordinate.  With the earlier coordinates held fixed, k runs over the
-    multiples of step, so coordinate x can drop to x mod gcd(step*y, m)
-    and no further."""
-    box = []
-    step = 1
-    for y in g:
-        c = gcd(step * y, m)
-        box.append(c)
-        step *= m // c
-    return tuple(box)
-
-
-def enumerate_discrete_lines(
-    n: int, m: int
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """All discrete lines of the m-grid on the n-torus, each once, lazily,
-    as the canonical (base, generator) pairs of DiscreteLine, in order.
-    Generators share few base boxes, so each point tests the boxes and
-    takes the sorted generators of those that hold it."""
-    if m < 3:
-        raise ValueError("modulus too small")
-    if n < 2:
-        raise ValueError("dimension must be at least 2")
-    boxes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for g in _generators(n, m):
-        boxes.setdefault(_base_box(g, m), []).append(g)
-    merged: dict[tuple, list[tuple[int, ...]]] = {}  # boxes holding p -> gens
-
-    def gens_at(p):
-        key = tuple(box for box in boxes if all(map(int.__lt__, p, box)))
-        if key not in merged:
-            merged[key] = sorted(g for box in key for g in boxes[box])
-        return merged[key]
-
-    return ((p, g) for p in iproduct(range(m), repeat=n) for g in gens_at(p))
 
 
 class IncidenceStructure(Frozen):
@@ -218,20 +66,6 @@ def build_incidence(n: int, m: int) -> IncidenceStructure:
     )
 
 
-def _factorize(m: int):
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            k = 0
-            while m % p == 0:
-                m //= p
-                k += 1
-            yield p, k
-        p += 1
-    if m > 1:
-        yield m, 1
-
-
 def affine_group_order(n: int, m: int) -> int:
     """|AGL_n(Z/m)| = m^n * |GL_n(Z/m)| via the prime-power product."""
     if m < 2:
@@ -243,61 +77,6 @@ def affine_group_order(n: int, m: int) -> int:
             gl *= p**n - p**i
         total *= gl
     return total
-
-
-def affine_table(phi: AffineTorusAuto, n: int, m: int) -> tuple[int, ...]:
-    """The image index of every m-grid point under phi, in lexicographic
-    point order.  phi may be integral or modulo m.
-
-    Image coordinate k is built for the whole grid at once, one source axis
-    at a time, as its share r·m^(n-1-k) of the flat index; the n shares are
-    then summed point by point.  Raises ValueError when phi moves 0 off the
-    grid (m·b not integral).
-    """
-    if phi.dim != n:
-        raise ValueError("dimension mismatch")
-    shifts = [b * m for b in phi.translation.coords]
-    if any(s.denominator != 1 for s in shifts):
-        raise ValueError("map does not preserve this grid")
-    shares = []
-    for k, (row, s) in enumerate(zip(phi.matrix, shifts)):
-        # One object per residue, shared by every point, keeps memory flat.
-        share = [r * m ** (n - 1 - k) for r in range(m)]
-        vals = [int(s) % m]
-        for a in row[:-1]:
-            steps = [a * t for t in range(m)]
-            vals = [(v + d) % m for v in vals for d in steps]
-        steps = [row[-1] * t for t in range(m)]
-        shares.append([share[(v + d) % m] for v in vals for d in steps])
-    return tuple(map(sum, zip(*shares)))
-
-
-def is_affine_perm(n: int, m: int, images) -> AffineTorusAuto | None:
-    """The unique affine form of a grid permutation, or None.
-
-    b is read off the image of 0 and the matrix columns from the images of
-    the unit vectors; the candidate is then checked at every grid point.
-    """
-    size = m**n
-    if len(images) != size:
-        raise ValueError("image table has the wrong length")
-    shift = index_point(images[0], n, m)
-    cols = []
-    for axis in range(n):
-        e = tuple(1 if i == axis else 0 for i in range(n))
-        img = index_point(images[point_index(e, m)], n, m)
-        cols.append(tuple((a - b) % m for a, b in zip(img, shift)))
-    matrix = tuple(tuple(col[r] for col in cols) for r in range(n))
-    translation = RatPoint(tuple(Fraction(c, m) for c in shift))
-    from .affine import AffineTorusAuto
-
-    try:
-        phi = AffineTorusAuto(matrix, translation, m)
-    except ValueError:
-        return None
-    if affine_table(phi, n, m) != tuple(images):
-        return None
-    return phi
 
 
 class GroupSummary(Frozen):
@@ -536,10 +315,13 @@ def collineation_group(
     translations are transitive on the points, so the order is m^2 times
     that of the stabilizer of 0, which `_search` counts orbit by orbit.
     `workers` is accepted and changes nothing.  The budget caps the nodes,
-    and the search stops at node budget + 1.  A grid whose table would hold
-    more than MAX_POINTS point pairs is refused before any of it is built."""
+    and the search stops at node budget + 1; a negative budget is refused.
+    A grid whose table would hold more than MAX_POINTS point pairs is
+    refused before any of it is built."""
     if n != 2:
         raise ValueError("exhaustive search is implemented for dimension 2 only")
+    if budget is not None and budget < 0:
+        raise ValueError(f"search budget {budget} is negative")
     size = m**n
     pairs = size * (size - 1) // 2
     if pairs > MAX_POINTS:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from itertools import product
 
-from .collineation import index_point, point_index
+from .grid import index_point, point_index
 from .reconstruction import GridMap
 
 HEADER = "TORUSMAP v1"

@@ -21,10 +21,11 @@ from math import lcm, prod
 from operator import mul
 from typing import Sequence
 
+from .common import MAX_POINTS, Frozen
 from .intmat import Matrix, det, from_columns, scaled as _scaled
 from .intmat import frac_matvec  # noqa: F401  (wrapped by name in bench/layers.py)
 from .lattice import LatticeBasis, basis_frames, primitive_part, snf_decomposition
-from .ratpoint import MAX_POINTS, Frozen, RatPoint, _canonical, _frac
+from .ratpoint import RatPoint, _canonical, _frac
 
 
 @lru_cache(maxsize=1024)

@@ -19,8 +19,8 @@ from itertools import combinations
 from math import gcd
 from typing import Iterable, Sequence
 
+from .common import Frozen
 from .intmat import Matrix, det, from_columns, matmul
-from .ratpoint import Frozen
 
 IntVec = tuple[int, ...]
 

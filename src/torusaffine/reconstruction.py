@@ -9,12 +9,12 @@ table is built.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 from math import gcd
+from typing import TYPE_CHECKING
 
-from .affine import AffineTorusAuto
-from .collineation import (
+from .common import Frozen
+from .grid import (
     DiscreteLine,
     _factorize,
     _units,
@@ -26,8 +26,9 @@ from .collineation import (
     lines_through,
     point_index,
 )
-from .intmat import det
-from .ratpoint import Frozen, RatPoint
+
+if TYPE_CHECKING:  # imported where a model is built, so a witness never loads it
+    from .affine import AffineTorusAuto
 
 
 class NonaffineCollineationError(Exception):
@@ -189,6 +190,8 @@ def _direction_normalizer(f: GridMap) -> tuple | None:
     statement about f with its direction action divided out; an affine map
     is normalized by its own linear part.
     """
+    from .intmat import det
+
     m = f.m
     families = [(1, 0), (0, 1), (1, 1), (1, m - 1)]
     image_gen = {}
@@ -220,6 +223,11 @@ def _blocks_preserved(f: GridMap) -> bool:
     (x0 + d, y0 + d), d ≠ 0, reach all of them (sides d, −d at (x0, y0) are
     sides d, d at (x0, y0 − d)).  h is a bijection, so an image is a block
     exactly when it has two columns, two rows and such sides."""
+    from fractions import Fraction
+
+    from .affine import AffineTorusAuto
+    from .ratpoint import RatPoint
+
     m = f.m
     matrix = _direction_normalizer(f)
     if matrix is None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .affine import AffineTorusAuto
+from .common import Frozen
 from .geometry import (
     IntersectionCount,
     RationalLine,
@@ -23,7 +24,7 @@ from .geometry import (
 from .intmat import frac_matvec, matvec
 from .lattice import _row_hnf, hnf, saturate
 from .lattice import snf_decomposition  # noqa: F401  (wrapped by name in bench/layers.py)
-from .ratpoint import Frozen, RatPoint, _canonical, origin
+from .ratpoint import RatPoint, _canonical, origin
 
 
 def subtorus_span(base: RatPoint, dirs) -> RationalSubtorus:

@@ -18,12 +18,7 @@ import pytest
 
 from torusaffine.affine import AffineTorusAuto
 from torusaffine.cli import generate_map, main
-from torusaffine.collineation import (
-    DiscreteLine,
-    affine_group_order,
-    collineation_group,
-    is_affine_perm,
-)
+from torusaffine.collineation import affine_group_order, collineation_group
 from torusaffine.fileformat import emit_torusmap
 from torusaffine.geometry import (
     RatPoint,
@@ -34,6 +29,7 @@ from torusaffine.geometry import (
     line_hyperplane_count,
     line_through,
 )
+from torusaffine.grid import DiscreteLine, is_affine_perm
 from torusaffine.intmat import from_columns
 from torusaffine.lattice import (
     hnf,

@@ -17,17 +17,14 @@ from hypothesis import strategies as st
 
 import torusaffine
 from torusaffine.cli import generate_map, main
-from torusaffine.collineation import (
-    canonical_generator,
-    collineation_group,
-    is_affine_perm,
-)
+from torusaffine.collineation import collineation_group
 from torusaffine.fileformat import (
     TorusMapFormatError,
     emit_torusmap,
     parse_torusmap,
 )
 from torusaffine.geometry import grid_oracle_count, line_through
+from torusaffine.grid import canonical_generator, is_affine_perm
 from torusaffine.reconstruction import GridMap
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -440,6 +437,16 @@ def test_search_budget_flag(capsys):
     assert err == "error: search budget exceeded after 51 nodes\n"
 
 
+def test_search_refuses_negative_budget(capsys):
+    code, out, err = run(capsys, "search", "--m", "3", "--budget", "-5")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "budget" in err and "Traceback" not in err
+    # a zero budget is a budget: the search stops at its first node
+    code, out, err = run(capsys, "search", "--m", "3", "--budget", "0")
+    assert (code, out) == (3, "")
+    assert err == "error: search budget exceeded after 1 nodes\n"
+
+
 # --------------------------------------------------------------- svg
 
 
@@ -605,6 +612,18 @@ assert point(1, 2) == RatPoint((1, 2))
 print("ok")
 """
     assert fresh_python("-c", script) == "ok\n"
+    # the grid names come from the grid module, without the search
+    script = """
+import sys
+import torusaffine
+assert torusaffine.lines_through((0, 0), (1, 2), 5)
+assert torusaffine.is_affine_perm(2, 3, tuple(range(9))) is not None
+assert next(iter(torusaffine.enumerate_discrete_lines(2, 3)))
+assert "torusaffine.grid" in sys.modules
+assert "torusaffine.collineation" not in sys.modules
+print("ok")
+"""
+    assert fresh_python("-c", script) == "ok\n"
 
 
 FOOTPRINT = """
@@ -613,8 +632,8 @@ sys.argv[0] = "torusaffine"
 try:
     runpy.run_module("torusaffine.cli", run_name="__main__")
 except SystemExit as exit:
-    assert exit.code == 0, exit.code
-print(" ".join(sorted(sys.modules)))
+    code = exit.code
+print(code, " ".join(sorted(sys.modules)))
 """
 
 # What only intersect, oracle and svg need, and what no subcommand needs:
@@ -630,9 +649,24 @@ NOT_FOR_GRID_COMMANDS = {
 }
 
 
-def footprint(*argv) -> set[str]:
-    """The modules a fresh interpreter holds after running one subcommand."""
-    return set(fresh_python("-c", FOOTPRINT, *argv).split())
+# What a witness verdict never runs: the rational model of an affine map
+# and the collineation search
+NOT_FOR_A_WITNESS = {
+    "fractions",
+    "decimal",
+    "torusaffine.affine",
+    "torusaffine.intmat",
+    "torusaffine.ratpoint",
+    "torusaffine.collineation",
+}
+
+
+def footprint(*argv, code: int = 0) -> set[str]:
+    """The modules a fresh interpreter holds after running one subcommand,
+    which must exit with code."""
+    exit_code, *loaded = fresh_python("-c", FOOTPRINT, *argv).split()
+    assert int(exit_code) == code, argv[0]
+    return set(loaded)
 
 
 def test_grid_commands_load_only_their_modules(tmp_path):
@@ -644,13 +678,21 @@ def test_grid_commands_load_only_their_modules(tmp_path):
         loaded = footprint(*argv)
         assert {"torusaffine.fileformat", "torusaffine.reconstruction"} <= loaded
         assert not loaded & NOT_FOR_GRID_COMMANDS, argv[0]
+        assert "torusaffine.collineation" not in loaded, argv[0]
     assert (tmp_path / "verdict.txt").read_text().startswith("AFFINE\n")
+    perturbed = tmp_path / "perturbed.txt"
+    footprint("gen", "--m", "16", "--kind", "perturbed", "--out", perturbed)
+    loaded = footprint("reconstruct", perturbed, "--out", tmp_path / "w.txt", code=1)
+    assert (tmp_path / "w.txt").read_text().startswith("WITNESS\n")
+    assert {"torusaffine.fileformat", "torusaffine.reconstruction"} <= loaded
+    assert not loaded & (NOT_FOR_GRID_COMMANDS | NOT_FOR_A_WITNESS)
     for m, workers in (("3", "1"), ("4", "2")):
         argv = ("search", "--m", m, "--workers", workers, "--out", tmp_path / "s")
         loaded = footprint(*argv)
         assert "torusaffine.collineation" in loaded
         assert not loaded & NOT_FOR_GRID_COMMANDS
         assert not loaded & {"torusaffine.fileformat", "torusaffine.reconstruction"}
+        assert not loaded & {"fractions", "torusaffine.ratpoint"}
 
 
 def test_no_module_loads_dataclasses_or_multiprocessing():

@@ -14,11 +14,16 @@ import pytest
 from torusaffine import collineation
 from torusaffine.collineation import (
     BudgetExceededError,
-    DiscreteLine,
     affine_group_order,
     build_incidence,
-    canonical_generator,
     collineation_group,
+    _search_base,
+    _gl2_generators,
+)
+from torusaffine.geometry import RatPoint, line_grid_points, line_through
+from torusaffine.grid import (
+    DiscreteLine,
+    canonical_generator,
     enumerate_discrete_lines,
     index_point,
     is_affine_perm,
@@ -26,11 +31,8 @@ from torusaffine.collineation import (
     lines_through,
     point_index,
     primitive_lift,
-    _search_base,
     _generators,
-    _gl2_generators,
 )
-from torusaffine.geometry import RatPoint, line_grid_points, line_through
 from fractions import Fraction
 
 
@@ -264,6 +266,16 @@ def test_is_affine_perm_rejects_swap():
     images = list(range(25))
     images[7], images[11] = images[11], images[7]
     assert is_affine_perm(2, 5, images) is None
+
+
+def test_is_affine_perm_refuses_singular_table():
+    # x -> 2x mod 4 matches its own table, but its determinant is no unit
+    m = 4
+    images = [
+        point_index(tuple(2 * c % m for c in index_point(i, 2, m)), m)
+        for i in range(m * m)
+    ]
+    assert is_affine_perm(2, m, images) is None
 
 
 # ------------------------------------------------------------- search

@@ -19,12 +19,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from torusaffine.affine import AffineTorusAuto
-from torusaffine.collineation import (
-    DiscreteLine,
-    affine_table,
-    build_incidence,
-    collineation_group,
-)
+from torusaffine.collineation import build_incidence, collineation_group
 from torusaffine.geometry import (
     IntersectionCount,
     RatPoint,
@@ -33,6 +28,7 @@ from torusaffine.geometry import (
     contains_point,
     line_through,
 )
+from torusaffine.grid import DiscreteLine, affine_table
 from torusaffine.intmat import det, frac_matvec, from_columns, identity, matmul
 from torusaffine import lattice
 from torusaffine.lattice import (

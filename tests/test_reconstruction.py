@@ -19,16 +19,16 @@ from hypothesis import strategies as st
 
 from torusaffine.affine import AffineTorusAuto
 from torusaffine.cli import generate_map
-from torusaffine.collineation import (
+from torusaffine.collineation import collineation_group
+from torusaffine.geometry import is_block
+from torusaffine.grid import (
     DiscreteLine,
     affine_table,
-    collineation_group,
     enumerate_discrete_lines,
     is_affine_perm,
     line_points,
     point_index,
 )
-from torusaffine.geometry import is_block
 from torusaffine.intmat import det, identity
 from torusaffine.ratpoint import RatPoint, origin
 from torusaffine.reconstruction import (
@@ -217,7 +217,8 @@ def test_nonaffine_collineation_report():
     assert report == PropertyReport(False, False, None)
     # constructive confirmation: some pair of parallel lines gets mapped to
     # lines with different direction classes
-    from torusaffine.collineation import build_incidence, point_index
+    from torusaffine.collineation import build_incidence
+    from torusaffine.grid import point_index
 
     inc = build_incidence(2, 4)
     by_mask = {mask: li for li, mask in enumerate(inc.masks)}

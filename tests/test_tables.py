@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 from torusaffine.affine import AffineTorusAuto
 from torusaffine.cli import main
-from torusaffine.collineation import affine_table, index_point, point_index
 from torusaffine.fileformat import (
     HEADER,
     TorusMapFormatError,
@@ -28,6 +27,7 @@ from torusaffine.fileformat import (
     parse_torusmap,
 )
 from torusaffine.geometry import RatPoint
+from torusaffine.grid import affine_table, index_point, point_index
 from torusaffine.intmat import det
 from torusaffine.reconstruction import GridMap
 
