@@ -98,12 +98,10 @@ def _line_from_args(dir_text: str, base_text: str):
 def generate_map(n: int, m: int, seed: int, kind: str) -> GridMap:
     """Deterministic test-data generator for one seed."""
     import random
-    from fractions import Fraction
     from math import gcd
 
-    from .affine import AffineTorusAuto, balanced_residue
+    from .grid import _table
     from .intmat import det
-    from .ratpoint import RatPoint
     from .reconstruction import GridMap
 
     if m < 3:
@@ -121,12 +119,12 @@ def generate_map(n: int, m: int, seed: int, kind: str) -> GridMap:
         rng.shuffle(images)
         return GridMap(n, m, tuple(images))
     while True:
-        entries = [balanced_residue(rng.randrange(m), m) for _ in range(n * n)]
-        matrix = tuple(tuple(entries[r * n : (r + 1) * n]) for r in range(n))
+        entries = [rng.randrange(m) for _ in range(n * n)]
+        matrix = [entries[r * n : (r + 1) * n] for r in range(n)]
         if gcd(det(matrix), m) == 1:
             break
-    shift = RatPoint(tuple(Fraction(rng.randrange(m), m) for _ in range(n)))
-    f = GridMap.from_affine(AffineTorusAuto(matrix, shift, m), n, m)
+    shift = [rng.randrange(m) for _ in range(n)]
+    f = GridMap(n, m, _table(matrix, shift, n, m))
     if kind == "perturbed":
         images = list(f.images)
         i = rng.randrange(size)

@@ -16,7 +16,7 @@ from math import prod
 
 from .common import MAX_POINTS, Frozen
 from .grid import (
-    DiscreteLine, _factorize, _units, enumerate_discrete_lines, point_index
+    DiscreteLine, _factorize, _table, _units, enumerate_discrete_lines, line_indices
 )
 
 DEFAULT_NODE_BUDGET = 10**9
@@ -40,14 +40,15 @@ class IncidenceStructure(Frozen):
 
 @lru_cache(maxsize=None)
 def build_incidence(n: int, m: int) -> IncidenceStructure:
-    lines = tuple(DiscreteLine(n, m, g, p) for p, g in enumerate_discrete_lines(n, m))
     size = m**n
+    lines = []
     masks = []
     through = [[] for _ in range(size)]
     pair_lines: dict[tuple[int, int], list[int]] = {}
-    for li, line in enumerate(lines):
+    for li, (base, g) in enumerate(enumerate_discrete_lines(n, m)):
+        lines.append(DiscreteLine(n, m, g, base))
         mask = 0
-        idxs = [point_index(p, m) for p in line.points]
+        idxs = line_indices(base, g, m)
         for idx in idxs:
             mask |= 1 << idx
             through[idx].append(li)
@@ -59,7 +60,7 @@ def build_incidence(n: int, m: int) -> IncidenceStructure:
         n,
         m,
         size,
-        lines,
+        tuple(lines),
         tuple(masks),
         tuple(tuple(t) for t in through),
         {k: tuple(v) for k, v in pair_lines.items()},
@@ -160,15 +161,6 @@ def _search_base(inc: IncidenceStructure) -> list[int]:
                 for q in _iter_bits(inc.masks[li]):
                     score[q] += 1
     return base
-
-
-def _linear_perm(a, m: int) -> tuple[int, ...]:
-    (p, q), (r, s) = a
-    return tuple(
-        (p * x + q * y) % m * m + (r * x + s * y) % m
-        for x in range(m)
-        for y in range(m)
-    )
 
 
 def _gl2_generators(m: int) -> list[tuple[tuple[int, int], ...]]:
@@ -282,7 +274,7 @@ def _search(inc: IncidenceStructure, budget: int):
 
     gl2 = _gl2_generators(m)
     seeds = gl2 + [((1, 0), (0, u)) for (u, _), _ in gl2[2:]]
-    gens = [(_level(g, base), g) for g in (_linear_perm(a, m) for a in seeds)]
+    gens = [(_level(g, base), g) for g in (_table(a, (0, 0), 2, m) for a in seeds)]
     for p in base:
         assign(p, p)
     orbits = [1] * len(base)

@@ -13,22 +13,19 @@ MAX_POINTS = 1_000_000
 
 class Frozen:
     """An immutable value whose fields are the names in ``__slots__``, a
-    subclass's after its bases'.  Instances of one class are equal when the
-    fields not named in ``_uncompared`` are, and hash as the tuple of those
-    fields; the repr is ``Name(field=value, ...)``.  Fields are set once, in
-    ``__init__`` (``Frozen.__init__`` takes them by position or name, and a
-    subclass's own sets them with ``object.__setattr__``), and pickled as a
-    tuple."""
+    subclass's after its bases'.  Instances of one class are equal when
+    their fields are, and hash as the tuple of the fields; the repr is
+    ``Name(field=value, ...)``.  Fields are set once, in ``__init__``
+    (``Frozen.__init__`` takes them by position or name, and a subclass's
+    own sets them with ``object.__setattr__``), and pickled as a tuple."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
-    _uncompared: tuple[str, ...] = ()
 
     def __init_subclass__(cls):
         cls._fields += cls.__dict__.get("__slots__", ())
-        compared = [f for f in cls._fields if f not in cls._uncompared]
-        get = attrgetter(*compared)  # a tuple for two or more names
-        cls._key = staticmethod(get if len(compared) > 1 else lambda v: (get(v),))
+        get = attrgetter(*cls._fields)  # a tuple for two or more names
+        cls._key = staticmethod(get if len(cls._fields) > 1 else lambda v: (get(v),))
 
     def __init__(self, *values, **named):
         fields = self._fields

@@ -88,13 +88,20 @@ def line_points(
     return [tuple((b + k * g) % m for b, g in zip(base, gen)) for k in range(m)]
 
 
+def line_indices(base: tuple[int, ...], gen: tuple[int, ...], m: int) -> list[int]:
+    """The flat indices of base + k·gen, k = 0 … m−1, built one axis at a
+    time as `_table` builds its table."""
+    idx = [0] * m
+    for b, g in zip(base, gen):
+        idx = [i * m + (b + k * g) % m for k, i in enumerate(idx)]
+    return idx
+
+
 class DiscreteLine(Frozen):
     """A coset of an order-m cyclic subgroup with primitive-liftable
-    generator, stored canonically: lex-least generator, lex-least base.
-    ``points`` lists the line's points in order; equality ignores it."""
+    generator, stored canonically: lex-least generator, lex-least base."""
 
-    __slots__ = ("n", "m", "generator", "base", "points")
-    _uncompared = ("points",)
+    __slots__ = ("n", "m", "generator", "base")
 
     def __init__(
         self, n: int, m: int, generator: tuple[int, ...], base: tuple[int, ...]
@@ -104,8 +111,12 @@ class DiscreteLine(Frozen):
         if gcd(*generator, m) != 1:
             raise ValueError("generator shares a factor with the modulus")
         gen = canonical_generator(generator, m)
-        pts = sorted(line_points(base, gen, m))
-        super().__init__(n, m, gen, pts[0], tuple(pts))
+        super().__init__(n, m, gen, min(line_points(base, gen, m)))
+
+    @property
+    def points(self) -> tuple[tuple[int, ...], ...]:
+        """The line's points in lexicographic order."""
+        return tuple(sorted(line_points(self.base, self.generator, self.m)))
 
 
 def lines_through(
@@ -119,6 +130,8 @@ def lines_through(
     g = d/e + (m/e)*t for t in (Z/e)^n, kept when gcd(g, m) = 1.
     """
     n = len(a)
+    if len(b) != n:
+        raise ValueError("dimension mismatch")
     d = tuple((y - x) % m for x, y in zip(a, b))
     e = gcd(*d, m)
     if e == m:

@@ -17,12 +17,14 @@ from .common import Frozen
 from .grid import (
     DiscreteLine,
     _factorize,
+    _table,
     _units,
     affine_table,
     canonical_generator,
     enumerate_discrete_lines,
     index_point,
     is_affine_perm,
+    line_indices,
     lines_through,
     point_index,
 )
@@ -80,21 +82,13 @@ class Witness(Frozen):
     __slots__ = ("points", "line")
 
     def validate(self, f: GridMap) -> bool:
-        if len(set(self.points)) != 3:
+        if (self.line.n, self.line.m) != (f.n, f.m) or len(set(self.points)) != 3:
             return False
-        if any(p not in self.line.points for p in self.points):
+        on_line = self.line.points
+        if any(p not in on_line for p in self.points):
             return False
         a, b, c = (f.image_of(p) for p in self.points)
         return all(c not in line.points for line in lines_through(a, b, f.m))
-
-
-def _line_indices(base: tuple[int, ...], gen: tuple[int, ...], m: int) -> list[int]:
-    """The flat indices of base + k·gen, k = 0 … m−1, built one axis at a
-    time as `affine_table` builds its table."""
-    idx = [0] * m
-    for b, g in zip(base, gen):
-        idx = [i * m + (b + k * g) % m for k, i in enumerate(idx)]
-    return idx
 
 
 def _image_line(f: GridMap, indices: list[int]) -> tuple[int, ...] | None:
@@ -115,7 +109,7 @@ def _image_line(f: GridMap, indices: list[int]) -> tuple[int, ...] | None:
             break
     else:
         return None
-    return g if set(_line_indices(q0, g, m)) == set(images) else None
+    return g if set(line_indices(q0, g, m)) == set(images) else None
 
 
 def _line_witness(f: GridMap, line: DiscreteLine) -> Witness | None:
@@ -142,7 +136,7 @@ def verify_line_preserving(f: GridMap):
     the first Witness, scanning lines by (base, generator) from 0 up."""
     broken = False
     for base, gen in enumerate_discrete_lines(f.n, f.m):
-        if _image_line(f, _line_indices(base, gen, f.m)) is None:
+        if _image_line(f, line_indices(base, gen, f.m)) is None:
             broken = True
             witness = _line_witness(f, DiscreteLine(f.n, f.m, gen, base))
             if witness is not None:
@@ -190,13 +184,11 @@ def _direction_normalizer(f: GridMap) -> tuple | None:
     statement about f with its direction action divided out; an affine map
     is normalized by its own linear part.
     """
-    from .intmat import det
-
     m = f.m
     families = [(1, 0), (0, 1), (1, 1), (1, m - 1)]
     image_gen = {}
     for d in families:
-        gen = _image_line(f, _line_indices((0, 0), d, m))
+        gen = _image_line(f, line_indices((0, 0), d, m))
         if gen is None:
             return None
         image_gen[d] = canonical_generator(gen, m)
@@ -204,7 +196,7 @@ def _direction_normalizer(f: GridMap) -> tuple | None:
     for u1, u2 in product(_units(m), repeat=2):
         col1 = tuple(u1 * x % m for x in gh)
         col2 = tuple(u2 * x % m for x in gv)
-        if gcd(det((col1, col2)), m) != 1:
+        if gcd(col1[0] * col2[1] - col1[1] * col2[0], m) != 1:
             continue
         diag = tuple((a + b) % m for a, b in zip(col1, col2))
         anti = tuple((a - b) % m for a, b in zip(col1, col2))
@@ -223,17 +215,13 @@ def _blocks_preserved(f: GridMap) -> bool:
     (x0 + d, y0 + d), d ≠ 0, reach all of them (sides d, −d at (x0, y0) are
     sides d, d at (x0, y0 − d)).  h is a bijection, so an image is a block
     exactly when it has two columns, two rows and such sides."""
-    from fractions import Fraction
-
-    from .affine import AffineTorusAuto
-    from .ratpoint import RatPoint
-
     m = f.m
     matrix = _direction_normalizer(f)
     if matrix is None:
         return False
-    shift = RatPoint(tuple(Fraction(c, m) for c in f.image_of((0, 0))))
-    back = affine_table(AffineTorusAuto(matrix, shift, m).inverse(), 2, m)
+    back = [0] * (m * m)
+    for i, j in enumerate(_table(matrix, f.image_of((0, 0)), 2, m)):
+        back[j] = i
     hx = [back[i] // m for i in f.images]
     hy = [back[i] % m for i in f.images]
     # r0 and r1 are the flat indices of (x0, 0) and (x0 + d, 0)
@@ -266,7 +254,7 @@ def check_paper_properties(f: GridMap) -> PropertyReport:
     image_gens: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
     parallels = True
     for base, g in enumerate_discrete_lines(f.n, m):
-        gen = _image_line(f, _line_indices(base, g, m))
+        gen = _image_line(f, line_indices(base, g, m))
         if gen is None:
             raise ValueError("map does not preserve lines")
         if g not in image_gens:

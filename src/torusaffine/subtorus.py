@@ -19,7 +19,7 @@ from .geometry import (
     _congruence_solve,
     _frames,
     _solution_coset,
-    contains_point,
+    contains_point,  # noqa: F401  (called through subtorus by bench/queries.py)
 )
 from .intmat import frac_matvec, matvec
 from .lattice import _row_hnf, hnf, saturate

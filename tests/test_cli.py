@@ -1,6 +1,8 @@
 """File format, CLI verdicts, exit codes, and byte-level determinism."""
 
+import ast
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -143,6 +145,28 @@ def test_gen_kinds_differ():
     affine = generate_map(2, 5, seed=4, kind="affine")
     perturbed = generate_map(2, 5, seed=4, kind="perturbed")
     assert sum(a != b for a, b in zip(affine.images, perturbed.images)) == 2
+
+
+def test_gen_output_pinned_across_versions():
+    digest = hashlib.sha256()
+    for n, m in ((2, 3), (2, 5), (2, 8), (2, 12), (3, 4), (3, 6), (4, 3), (2, 64)):
+        for kind in ("affine", "perturbed", "random"):
+            for seed in range(6):
+                text = emit_torusmap(generate_map(n, m, seed, kind))
+                digest.update(text.encode())
+    assert digest.hexdigest() == (
+        "dbb7d8dc9f2bd944e1e808298cf951a95254d241a029fafe8ba7fa717b0ce817"
+    )
+
+
+def test_readme_gen_reconstruct_example(capsys, monkeypatch):
+    code, table, _ = run(capsys, "gen", "--m", "8", "--seed", "42", "--kind", "affine")
+    assert code == 0
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(table.encode())))
+    assert run(capsys, "reconstruct", "-")[:2] == (
+        0,
+        "AFFINE\nn=2 m=8\nA 1 0\nA 4 3\nb 3/8 1/4\n",
+    )
 
 
 # ------------------------------------------------------- reconstruct
@@ -672,13 +696,15 @@ def footprint(*argv, code: int = 0) -> set[str]:
 def test_grid_commands_load_only_their_modules(tmp_path):
     table = tmp_path / "table.txt"
     for argv in (
-        ("gen", "--m", "16", "--out", table),
+        ("gen", "--m", "16", "--kind", "affine", "--out", table),
         ("reconstruct", table, "--out", tmp_path / "verdict.txt"),
     ):
         loaded = footprint(*argv)
         assert {"torusaffine.fileformat", "torusaffine.reconstruction"} <= loaded
         assert not loaded & NOT_FOR_GRID_COMMANDS, argv[0]
         assert "torusaffine.collineation" not in loaded, argv[0]
+        if argv[0] == "gen":  # the table is built on residues, not a model
+            assert not loaded & {"torusaffine.affine", "torusaffine.ratpoint"}
     assert (tmp_path / "verdict.txt").read_text().startswith("AFFINE\n")
     perturbed = tmp_path / "perturbed.txt"
     footprint("gen", "--m", "16", "--kind", "perturbed", "--out", perturbed)
@@ -693,6 +719,61 @@ def test_grid_commands_load_only_their_modules(tmp_path):
         assert not loaded & NOT_FOR_GRID_COMMANDS
         assert not loaded & {"torusaffine.fileformat", "torusaffine.reconstruction"}
         assert not loaded & {"fractions", "torusaffine.ratpoint"}
+
+
+def test_property_report_loads_no_rational_model():
+    script = """
+import sys
+from torusaffine.reconstruction import GridMap, check_paper_properties
+report = check_paper_properties(GridMap(2, 5, tuple(range(25))))
+assert report.parallels_preserved and report.blocks_preserved
+rational = {"fractions", "torusaffine.affine", "torusaffine.intmat",
+            "torusaffine.lattice", "torusaffine.ratpoint"}
+print(sorted(rational & set(sys.modules)))
+"""
+    assert fresh_python("-c", script) == "[]\n"
+
+
+def _unused_imports(text: str) -> list[str]:
+    """The names a module imports and never reads, as 'line: name'; an
+    import inside a function must be read in that function.  A line marked
+    `# noqa: F401` is a deliberate re-export."""
+    tree = ast.parse(text)
+    lines = text.splitlines()
+    scope_of = {}  # node -> the innermost function holding it, or the module
+
+    def mark(node, scope):
+        for child in ast.iter_child_nodes(node):
+            scope_of[child] = scope
+            is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            mark(child, child if is_function else scope)
+
+    mark(tree, tree)
+    unused = []
+    for node, scope in scope_of.items():
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if getattr(node, "module", None) == "__future__":
+            continue
+        reads = {
+            n.id
+            for n in ast.walk(scope)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        for alias in node.names:
+            name = (alias.asname or alias.name).split(".")[0]
+            if name not in reads and "# noqa: F401" not in lines[alias.lineno - 1]:
+                unused.append(f"{alias.lineno}: {name}")
+    return unused
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    unused = {}
+    for path in sorted((SRC / "torusaffine").glob("*.py")):
+        hits = _unused_imports(path.read_text())
+        if hits:
+            unused[path.name] = hits
+    assert unused == {}
 
 
 def test_no_module_loads_dataclasses_or_multiprocessing():

@@ -157,6 +157,8 @@ def test_lines_through_rejects_equal_points():
         lines_through((1, 2), (1, 2), 5)
     with pytest.raises(ValueError, match="coincide"):
         lines_through((1, 2), (5, 6), 4)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        lines_through((0, 0), (1, 2, 3), 5)
 
 
 def test_lines_through_each_point_prime():

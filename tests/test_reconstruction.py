@@ -26,6 +26,7 @@ from torusaffine.grid import (
     affine_table,
     enumerate_discrete_lines,
     is_affine_perm,
+    line_indices,
     line_points,
     point_index,
 )
@@ -41,7 +42,6 @@ from torusaffine.reconstruction import (
     verify_line_preserving,
     _blocks_preserved,
     _direction_normalizer,
-    _line_indices,
 )
 
 
@@ -121,6 +121,10 @@ def test_witness_validate_rejects_collinear_images():
     # nor does a triple off the line or one with a repeated point
     assert not Witness(((0, 0), (3, 0), (1, 0)), line).validate(f)
     assert not Witness(((0, 0), (0, 0), (1, 2)), line).validate(f)
+    # nor a certificate read on another grid: no line of the 7-grid holds
+    # these three points of a 5-grid line
+    other = Witness(((0, 0), (1, 2), (3, 1)), DiscreteLine(2, 5, (1, 2), (0, 0)))
+    assert not other.validate(generate_map(2, 7, 0, "random"))
 
 
 def test_verify_line_preserving_identity():
@@ -131,7 +135,7 @@ def test_verify_line_preserving_identity():
 def test_line_indices_match_line_points(n, m):
     for base, gen in enumerate_discrete_lines(n, m):
         points = line_points(base, gen, m)
-        assert _line_indices(base, gen, m) == [point_index(p, m) for p in points]
+        assert line_indices(base, gen, m) == [point_index(p, m) for p in points]
 
 
 def test_infer_n3_round_trip():
