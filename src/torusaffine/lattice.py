@@ -201,31 +201,45 @@ def _eye(n: int) -> list[list[int]]:
     return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
 
 
+def _step(mats, i, j, x, y, z, w) -> None:
+    """Set rows i, j of each of mats to x*row_i + y*row_j, z*row_i + w*row_j."""
+    for rows in mats:
+        ri, rj = rows[i], rows[j]
+        if x != 1 or y:
+            rows[i] = [x * p + y * q for p, q in zip(ri, rj)]
+        if z or w != 1:
+            rows[j] = [z * p + w * q for p, q in zip(ri, rj)]
+
+
+def _clear(p: int, b: int) -> tuple[int, int, int, int]:
+    """A determinant-1 step (x, y, z, w) taking (p, b) to (+-gcd(p, b), 0):
+    a plain subtraction when p divides b, else the extended-gcd step."""
+    if b % p == 0:
+        return 1, 0, -(b // p), 1
+    g, x, y = xgcd(p, b)
+    return x, y, -(b // g), p // g
+
+
 def _smith(mat: Sequence[Sequence[int]], track_inverse: bool):
     """The Smith reduction of :func:`snf_decomposition` as lists of rows
     (a, u, vt, ut): vt is v transposed, and ut is u^-1 transposed, kept by
-    the inverse of each row operation on u, when ``track_inverse``."""
+    the inverse of each row operation on u, when ``track_inverse``.  Each
+    entry is cleared by one :func:`_clear` step (Cohen, GTM 138, 2.4)."""
     nrows = len(mat)
     ncols = len(mat[0]) if nrows else 0
     a = [list(map(int, row)) for row in mat]
     u = _eye(nrows)
     vt = _eye(ncols)
     ut = _eye(nrows) if track_inverse else None
-    # Row operations act on a and u, column operations on a and v; row swaps
-    # and sign flips are their own inverses, so they act on ut alike.
-    alike = (a, u) if ut is None else (a, u, ut)
+    # Row swaps and sign flips are their own inverses, so they act on ut
+    # alike; a step (x, y, z, w) acts on ut as its inverse transposed.
+    alike, inverse = ((a, u), ()) if ut is None else ((a, u, ut), (ut,))
     for t in range(min(nrows, ncols)):
-        # deterministic pivot: least |value|, ties broken by position
-        best, least = None, 0
-        for i in range(t, nrows):
-            row = a[i]
-            for j in range(t, ncols):
-                x = abs(row[j])
-                if x and (best is None or x < least):
-                    best, least = (i, j), x
-        if best is None:
+        # the pivot: the first nonzero entry of the block, column by column
+        cells = ((i, j) for j in range(t, ncols) for i in range(t, nrows) if a[i][j])
+        i, j = next(cells, (None, None))
+        if i is None:
             break
-        i, j = best
         if i != t:
             for rows in alike:
                 rows[t], rows[i] = rows[i], rows[t]
@@ -234,42 +248,27 @@ def _smith(mat: Sequence[Sequence[int]], track_inverse: bool):
                 row[t], row[j] = row[j], row[t]
             vt[t], vt[j] = vt[j], vt[t]
         while True:
-            # a sweep that leaves row or column t nonzero has swapped: unstable
-            stable = True
             for i in range(t + 1, nrows):
                 if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[t])]
-                    if ut is not None:
-                        ut[t] = [x + q * y for x, y in zip(ut[t], ut[i])]
-                    if a[i][t]:
-                        for rows in alike:
-                            rows[t], rows[i] = rows[i], rows[t]
-                        stable = False
+                    x, y, z, w = _clear(a[t][t], a[i][t])
+                    _step((a, u), t, i, x, y, z, w)
+                    _step(inverse, t, i, w, -z, -y, x)
             for j in range(t + 1, ncols):
                 if a[t][j]:
-                    q = a[t][j] // a[t][t]
+                    x, y, z, w = _clear(a[t][t], a[t][j])
                     for row in a:
-                        row[j] -= q * row[t]
-                    vt[j] = [x - q * y for x, y in zip(vt[j], vt[t])]
-                    if a[t][j]:
-                        for row in a:
-                            row[t], row[j] = row[j], row[t]
-                        vt[t], vt[j] = vt[j], vt[t]
-                        stable = False
-            if stable:
-                # enforce the divisor chain before moving on
-                pivot = a[t][t]
-                rest = range(t + 1, nrows)
-                chain = (i for i in rest if any(x % pivot for x in a[i][t + 1 :]))
-                offender = next(chain, None)
-                if offender is None:
-                    break
-                a[t] = [x + y for x, y in zip(a[t], a[offender])]
-                u[t] = [x + y for x, y in zip(u[t], u[offender])]
-                if ut is not None:
-                    ut[offender] = [x - y for x, y in zip(ut[offender], ut[t])]
+                        row[t], row[j] = x * row[t] + y * row[j], z * row[t] + w * row[j]
+                    _step((vt,), t, j, x, y, z, w)
+            if any(a[i][t] for i in range(t + 1, nrows)):
+                continue  # a gcd step on the columns refilled column t
+            # enforce the divisor chain before moving on
+            pivot, rest = a[t][t], range(t + 1, nrows)
+            chain = (i for i in rest if any(x % pivot for x in a[i][t + 1 :]))
+            offender = next(chain, None)
+            if offender is None:
+                break
+            _step((a, u), t, offender, 1, 1, 0, 1)
+            _step(inverse, t, offender, 1, 0, -1, 1)
         if a[t][t] < 0:
             for rows in alike:
                 rows[t] = [-x for x in rows[t]]

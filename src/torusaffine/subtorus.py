@@ -58,8 +58,9 @@ def line_subtorus_count(line: RationalLine, s: RationalSubtorus) -> Intersection
 class ComponentDecomposition(Frozen):
     """The pieces of a nonempty intersection of two subtorus cosets: how
     many parallel components there are, their common dimension, and the
-    component through the lexicographically least intersection point (a
-    bare point when the intersection is finite)."""
+    component through the least point of the solver's coset, which holds
+    one point per component and is fixed by s1's base and the particular
+    solution (a bare point when the intersection is finite)."""
 
     __slots__ = ("component_count", "common_dimension", "representative")
 

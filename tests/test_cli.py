@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -774,6 +775,30 @@ def test_no_module_imports_a_name_it_never_reads():
         if hits:
             unused[path.name] = hits
     assert unused == {}
+
+
+def test_no_module_defines_a_name_the_package_never_names():
+    # a module-level function or class that no other line of the package
+    # names and that the package does not export is dead code
+    paths = sorted((SRC / "torusaffine").glob("*.py"))
+    texts = {path: path.read_text().splitlines() for path in paths}
+    dead = []
+    for path, lines in texts.items():
+        for node in ast.parse("\n".join(lines)).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name in torusaffine._EXPORTS or node.name in ("__getattr__", "__dir__"):
+                continue
+            word = re.compile(rf"\b{node.name}\b")
+            named = (
+                word.search(line)
+                for other, rows in texts.items()
+                for i, line in enumerate(rows, 1)
+                if (other, i) != (path, node.lineno)
+            )
+            if not any(named):
+                dead.append(f"{path.name}: {node.name}")
+    assert dead == []
 
 
 def test_no_module_loads_dataclasses_or_multiprocessing():

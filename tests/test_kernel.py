@@ -4,8 +4,8 @@ Each reference below is written here, with one Fraction per product and
 sum, and checks one piece of the kernel over T^2 - T^4: the rational
 mat-vec, the canonical base of a coset, point membership, the saturation
 flag of a Hermite basis, the cached frames of a saturated lattice and the
-exact and mod-m matrix inverse.  The Smith decomposition is checked against
-a test-local copy of the loop it replaced, operation for operation.
+exact and mod-m matrix inverse.  The Smith decomposition's own properties
+are checked in test_lattice.py.
 """
 
 import pickle
@@ -79,74 +79,6 @@ def ref_completion(basis):
     ]
     frame = matmul(ref_inverse(u), w)
     return frame, ref_inverse(frame)
-
-
-def ref_snf_decomposition(mat):
-    """The Smith decomposition as first written: the same pivot rule and
-    row and column operations, with v kept as rows and every sweep checked
-    again before the divisor chain is enforced."""
-    nrows = len(mat)
-    ncols = len(mat[0]) if nrows else 0
-    a = [list(int(x) for x in row) for row in mat]
-    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
-    v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
-    t = 0
-    while t < min(nrows, ncols):
-        best = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                x = a[i][j]
-                if x != 0 and (best is None or abs(x) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        i, j = best
-        if i != t:
-            a[t], a[i] = a[i], a[t]
-            u[t], u[i] = u[i], u[t]
-        if j != t:
-            for row in (*a, *v):
-                row[t], row[j] = row[j], row[t]
-        while True:
-            stable = True
-            for i in range(t + 1, nrows):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[t])]
-                    if a[i][t]:
-                        a[t], a[i] = a[i], a[t]
-                        u[t], u[i] = u[i], u[t]
-                        stable = False
-            for j in range(t + 1, ncols):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    for row in (*a, *v):
-                        row[j] -= q * row[t]
-                    if a[t][j]:
-                        for row in (*a, *v):
-                            row[t], row[j] = row[j], row[t]
-                        stable = False
-            if stable and all(a[i][t] == 0 for i in range(t + 1, nrows)) and all(
-                a[t][j] == 0 for j in range(t + 1, ncols)
-            ):
-                offender = None
-                for i in range(t + 1, nrows):
-                    for j in range(t + 1, ncols):
-                        if a[i][j] % a[t][t] != 0:
-                            offender = i
-                            break
-                    if offender is not None:
-                        break
-                if offender is None:
-                    break
-                a[t] = [x + y for x, y in zip(a[t], a[offender])]
-                u[t] = [x + y for x, y in zip(u[t], u[offender])]
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-    return tuple(map(tuple, a)), tuple(map(tuple, u)), tuple(map(tuple, v))
 
 
 dims = st.integers(2, 4)
@@ -256,19 +188,6 @@ def test_frames_invert_and_extend_the_basis(data):
     assert (u, u_inv) == ref_completion(lattice)
 
 
-def test_smith_decomposition_matches_reference():
-    # up to 3x4: dense 4x4 input grows entries without bound in both loops
-    rng = random.Random(14)
-    shapes = [(r, c) for r in range(1, 4) for c in range(1, 5)]
-    for _ in range(2400):
-        nrows, ncols = rng.choice(shapes)
-        bound = rng.choice((2, 9, 60))
-        mat = tuple(
-            tuple(rng.randint(-bound, bound) for _ in range(ncols)) for _ in range(nrows)
-        )
-        assert snf_decomposition(mat) == ref_snf_decomposition(mat), mat
-
-
 def test_frames_come_from_one_smith_pass(monkeypatch):
     def refuse(*args):
         raise AssertionError("basis_frames inverted a matrix")
@@ -288,14 +207,16 @@ def test_frames_come_from_one_smith_pass(monkeypatch):
 
 
 def test_frames_of_a_dense_line_in_t4():
-    # U^-1 of this line has entries near 10^7; a Smith decomposition of it
-    # does not finish, so the frames must not invert through one.
+    # U^-1 of this line has entries near 10^7, and its Smith form finishes
     lattice = hnf([(4368, -204, -1660, 1165)])
     t0 = perf_counter()
     u, u_inv = _frames(lattice)
     assert perf_counter() - t0 < 2.0
     assert matmul(u, u_inv) == identity(4)
     assert tuple(row[0] for row in u) == lattice.vectors[0]
+    t0 = perf_counter()
+    assert smith_invariants(u_inv) == (1, 1, 1, 1)
+    assert perf_counter() - t0 < 2.0
 
 
 @st.composite

@@ -5,8 +5,11 @@ oracle below (membership by brute-force small integer combinations), which
 is independent of the reduction code under test.
 """
 
+import random
 from fractions import Fraction
 from itertools import product
+from math import prod
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
@@ -215,6 +218,22 @@ def test_smith_product_is_abs_det():
     for x in invs:
         prod *= x
     assert prod == abs(det(mat))
+
+
+def test_smith_finishes_on_dense_input():
+    # dense 4x4 input whose entries grew without bound in a
+    # swap-until-stable elimination
+    for bound in (10**4, 10**7):
+        rng = random.Random(7)
+        for _ in range(30):
+            mat = tuple(
+                tuple(rng.randint(-bound, bound) for _ in range(4)) for _ in range(4)
+            )
+            t0 = perf_counter()
+            d, u, v = snf_decomposition(mat)
+            assert perf_counter() - t0 < 2.0, mat
+            assert matmul(matmul(u, mat), v) == d
+            assert prod(smith_invariants(mat)) == abs(det(mat))
 
 
 # --------------------------------------------------------- saturate
