@@ -16,7 +16,7 @@ from math import prod
 
 from .common import MAX_POINTS, Frozen
 from .grid import (
-    DiscreteLine, _factorize, _table, _units, enumerate_discrete_lines, line_indices
+    _factorize, _generators, _table, _units, enumerate_discrete_lines, line_indices
 )
 
 DEFAULT_NODE_BUDGET = 10**9
@@ -31,40 +31,34 @@ class BudgetExceededError(RuntimeError):
 
 
 class IncidenceStructure(Frozen):
-    """Immutable incidence data for one (n, m) grid: the lines, a point
-    bitmask per line, the incident lines per point, and the lines through
-    each point pair (a dict, so the structure has no hash)."""
+    """Immutable incidence data for one (n, m) grid: the (base, generator)
+    pairs of `enumerate_discrete_lines`, a point bitmask per line, and
+    through[a][j], the line a + <g_j> for g_j the j-th of `_generators`."""
 
-    __slots__ = ("n", "m", "size", "lines", "masks", "through", "pair_lines")
+    __slots__ = ("n", "m", "size", "lines", "masks", "through")
+
+    @property
+    def pair_lines(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        # Only the bench's witness probe reads this, until ROADMAP item 9
+        # moves that probe; each read rebuilds the lines of every point pair.
+        return {(a, b): tuple(li for li in self.through[a] if self.masks[li] >> b & 1)
+                for a in range(self.size) for b in range(a + 1, self.size)}
 
 
 @lru_cache(maxsize=None)
 def build_incidence(n: int, m: int) -> IncidenceStructure:
     size = m**n
-    lines = []
+    slot = {g: j for j, g in enumerate(_generators(n, m))}
+    lines = tuple(enumerate_discrete_lines(n, m))
     masks = []
-    through = [[] for _ in range(size)]
-    pair_lines: dict[tuple[int, int], list[int]] = {}
-    for li, (base, g) in enumerate(enumerate_discrete_lines(n, m)):
-        lines.append(DiscreteLine(n, m, g, base))
+    through = [[0] * len(slot) for _ in range(size)]
+    for li, (base, g) in enumerate(lines):
         mask = 0
-        idxs = line_indices(base, g, m)
-        for idx in idxs:
+        for idx in line_indices(base, g, m):
             mask |= 1 << idx
-            through[idx].append(li)
-        for i, a in enumerate(idxs):
-            for b in idxs[i + 1 :]:
-                pair_lines.setdefault((a, b) if a < b else (b, a), []).append(li)
+            through[idx][slot[g]] = li
         masks.append(mask)
-    return IncidenceStructure(
-        n,
-        m,
-        size,
-        tuple(lines),
-        tuple(masks),
-        tuple(tuple(t) for t in through),
-        {k: tuple(v) for k, v in pair_lines.items()},
-    )
+    return IncidenceStructure(n, m, size, lines, tuple(masks), tuple(map(tuple, through)))
 
 
 def affine_group_order(n: int, m: int) -> int:
@@ -193,17 +187,21 @@ def _search(inc: IncidenceStructure, budget: int):
     [[1, 1], [0, 1]] and diag(1, u), which fix e1, for the level of e2.
     A line's only state is the bitmask of its images; candidates lie on a
     line holding every image of each line through the point, and any two
-    distinct points share a line.  A map fixing 0 takes the lines through
-    0 and p one-to-one onto those through 0 and f(p), so a candidate also
-    has as many of them as p."""
+    distinct points share a line.  Lines are cosets, so the lines through a
+    and b are through[a][j] for the slots j in dirs[b - a].  A map fixing 0
+    takes the lines through 0 and p one-to-one onto those through 0 and
+    f(p), so a candidate also has as many of them as p."""
     size, m = inc.size, inc.m
     through = inc.through
     masks = inc.masks
-    pair_lines = inc.pair_lines
+    incident = [sorted(t) for t in through]  # line order refuses sooner
+    masks_at = [[masks[li] for li in t] for t in through]
     base = _search_base(inc)
     identity = tuple(range(size))
 
-    lines0 = [len(pair_lines[0, x]) for x in range(1, size)]
+    dirs = [[j for j, li in enumerate(through[0]) if masks[li] >> d & 1]
+            for d in range(size)]
+    lines0 = [len(dirs[x]) for x in range(1, size)]
     same = {}  # lines through 0 and x -> the points x with that many
     for x, k in enumerate(lines0, 1):
         same[k] = same.get(k, 0) | 1 << x
@@ -222,28 +220,30 @@ def _search(inc: IncidenceStructure, budget: int):
         img[p] = v
         bit = 1 << v
         used |= bit
-        for li in through[p]:
+        for li in incident[p]:
             line_imgs[li] |= bit
 
     def undo(p: int, v: int):
         nonlocal used
         bit = 1 << v
         used ^= bit
-        for li in through[p]:
+        for li in incident[p]:
             line_imgs[li] ^= bit
 
     def candidates(p: int) -> int:
         allowed = allowed0[p]
-        for li in through[p]:
+        for li in incident[p]:
             got = line_imgs[li]
             rest = got & (got - 1)
             if not rest:
                 continue
             # every line holding all of got passes through its two lowest
-            key = ((got & -got).bit_length() - 1, (rest & -rest).bit_length() - 1)
+            a = (got & -got).bit_length() - 1
+            b = (rest & -rest).bit_length() - 1
+            here = masks_at[a]
             union = 0
-            for ci in pair_lines[key]:
-                cm = masks[ci]
+            for j in dirs[b - a + m * (b % m < a % m)]:  # b ⊖ a, as a < b
+                cm = here[j]
                 if got & ~cm == 0:
                     union |= cm
             allowed &= union
@@ -308,19 +308,19 @@ def collineation_group(
     that of the stabilizer of 0, which `_search` counts orbit by orbit.
     `workers` is accepted and changes nothing.  The budget caps the nodes,
     and the search stops at node budget + 1; a negative budget is refused.
-    A grid whose table would hold more than MAX_POINTS point pairs is
-    refused before any of it is built."""
+    A grid whose table would hold more than MAX_POINTS point-line
+    incidences is refused before any of it is built."""
     if n != 2:
         raise ValueError("exhaustive search is implemented for dimension 2 only")
     if budget is not None and budget < 0:
         raise ValueError(f"search budget {budget} is negative")
     size = m**n
-    pairs = size * (size - 1) // 2
-    if pairs > MAX_POINTS:
-        raise ValueError(
-            f"the incidence table would hold {pairs} point pairs, "
-            f"more than {MAX_POINTS}"
-        )
+    # a point is on prod p^((k-1)(n-1))(p^n - 1)/(p - 1) lines, m = prod p^k;
+    # a grid of more than MAX_POINTS points is refused without factoring m
+    if size > MAX_POINTS or size * prod(
+        p ** ((k - 1) * (n - 1)) * (p**n - 1) // (p - 1) for p, k in _factorize(m)
+    ) > MAX_POINTS:
+        raise ValueError(f"the table would exceed {MAX_POINTS} point-line incidences")
     base, orbits, generators, nodes = _search(
         build_incidence(n, m), DEFAULT_NODE_BUDGET if budget is None else budget
     )

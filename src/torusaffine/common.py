@@ -6,8 +6,8 @@ from operator import attrgetter
 
 # The most points built or listed: the default oracle grid denominator, the
 # longest intersection `intersect` prints, the largest grid `gen` emits, the
-# most point pairs the collineation search tabulates and the most congruence
-# solutions built.  Larger inputs are refused with exit 2.
+# most point-line incidences the collineation search tabulates and the most
+# congruence solutions built.  Larger inputs are refused with exit 2.
 MAX_POINTS = 1_000_000
 
 

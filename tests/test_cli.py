@@ -456,6 +456,23 @@ def test_search_refuses_oversized_table(capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_search_refuses_a_table_over_a_million_incidences(capsys):
+    # m = 78 is the first modulus whose table holds over 10^6 point-line
+    # incidences: 78^2 points on 168 lines each
+    t0 = perf_counter()
+    code, out, err = run(capsys, "search", "--m", "78")
+    assert perf_counter() - t0 < 1
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "incidences" in err and "Traceback" not in err
+
+
+def test_search_builds_the_table_at_m49(capsys):
+    # 49^2 points hold 1152921 point pairs but 2401 * 56 incidences
+    code, out, err = run(capsys, "search", "--m", "49", "--budget", "0")
+    assert (code, out) == (3, "")
+    assert err == "error: search budget exceeded after 1 nodes\n"
+
+
 def test_search_budget_flag(capsys):
     code, out, err = run(capsys, "search", "--m", "5", "--budget", "50")
     assert (code, out) == (3, "")

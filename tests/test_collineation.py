@@ -6,6 +6,7 @@ every stabilizer permutation with a brute-force line-image test (see
 test_m4_stabilizer_is_genuine below, which repeats that audit).
 """
 
+import tracemalloc
 from itertools import product
 from math import gcd
 
@@ -27,6 +28,7 @@ from torusaffine.grid import (
     enumerate_discrete_lines,
     index_point,
     is_affine_perm,
+    line_indices,
     line_points,
     lines_through,
     point_index,
@@ -145,7 +147,11 @@ def test_lines_through_matches_incidence_table(n, m):
     inc = build_incidence(n, m)
     for a in range(inc.size):
         for b in range(a + 1, inc.size):
-            expected = {inc.lines[li] for li in inc.pair_lines.get((a, b), ())}
+            expected = {
+                DiscreteLine(n, m, inc.lines[li][1], inc.lines[li][0])
+                for li in inc.through[a]
+                if inc.masks[li] >> b & 1
+            }
             got = lines_through(index_point(a, n, m), index_point(b, n, m), m)
             assert set(got) == expected
             # the search relies on every pair of distinct points sharing a line
@@ -342,14 +348,14 @@ def test_m4_stabilizer_is_genuine():
     # affine ones among them must number |GL_2(Z/4)| = 96
     got = collineation_group(2, 4)
     inc = build_incidence(2, 4)
-    line_sets = {frozenset(point_index(p, 4) for p in line.points) for line in inc.lines}
+    line_sets = {frozenset(line_indices(base, g, 4)) for base, g in inc.lines}
     stabilizer = list(got.stabilizer())
     assert len(stabilizer) == 6144 // 16
     affine_count = 0
     for perm in stabilizer:
         assert perm[0] == 0
-        for line in inc.lines:
-            image = frozenset(perm[point_index(p, 4)] for p in line.points)
+        for base, g in inc.lines:
+            image = frozenset(perm[i] for i in line_indices(base, g, 4))
             assert image in line_sets
         if is_affine_perm(2, 4, perm) is not None:
             affine_count += 1
@@ -361,15 +367,13 @@ def test_group_generators_are_collineations_m3():
     for m, stabilizer_size in ((3, 48), (5, 480)):
         got = collineation_group(2, m)
         inc = build_incidence(2, m)
-        line_sets = {
-            frozenset(point_index(p, m) for p in line.points) for line in inc.lines
-        }
+        line_sets = {frozenset(line_indices(base, g, m)) for base, g in inc.lines}
         stabilizer = list(got.stabilizer())
         assert len(stabilizer) == stabilizer_size
         for perm in got.generators + tuple(stabilizer):
             assert sorted(perm) == list(range(m * m))
-            for line in inc.lines:
-                image = frozenset(perm[point_index(p, m)] for p in line.points)
+            for base, g in inc.lines:
+                image = frozenset(perm[i] for i in line_indices(base, g, m))
                 assert image in line_sets
 
 
@@ -377,8 +381,7 @@ def test_group_generators_are_collineations_m3():
 def test_stabilizer_yields_each_collineation_fixing_0_once(m):
     got = collineation_group(2, m)
     line_sets = {
-        frozenset(point_index(p, m) for p in line.points)
-        for line in build_incidence(2, m).lines
+        frozenset(line_indices(base, g, m)) for base, g in build_incidence(2, m).lines
     }
     stabilizer = list(got.stabilizer())
     assert len(stabilizer) == len(set(stabilizer)) == got.order // (m * m)
@@ -403,9 +406,10 @@ def every_collineation_fixing_0(m):
             got = line_imgs[li]
             rest = got & (got - 1)
             if rest:
-                pair = ((got & -got).bit_length() - 1, (rest & -rest).bit_length() - 1)
+                a = (got & -got).bit_length() - 1
+                b = (rest & -rest).bit_length() - 1
                 union = 0
-                for other in inc.pair_lines[pair]:
+                for other in [li for li in inc.through[a] if masks[li] >> b & 1]:
                     if got & ~masks[other] == 0:
                         union |= masks[other]
                 allowed &= union
@@ -474,3 +478,32 @@ def test_two_workers_stop_at_the_budget_ceiling():
 def test_search_requires_dimension_two():
     with pytest.raises(ValueError, match="dimension 2"):
         collineation_group(3, 3)
+
+
+def test_search_refuses_a_table_over_a_million_incidences():
+    # m = 78 = 2·3·13: 6084 points on 3·4·14 = 168 lines each
+    with pytest.raises(ValueError, match="point-line incidences"):
+        collineation_group(2, 78)
+
+
+def test_incidence_table_holds_no_point_pairs():
+    # m = 32 has 523776 point pairs but 1024 · 48 point-line incidences
+    build_incidence.cache_clear()
+    tracemalloc.start()
+    try:
+        inc = build_incidence(2, 32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        build_incidence.cache_clear()
+    assert peak < 16 * 2**20
+    assert len(inc.through[0]) == 48
+    # through[a][j] is the line through a along the j-th generator, the
+    # order in which the search finds the lines through two points
+    for m in (4, 5, 6, 12):
+        inc = build_incidence(2, m)
+        gens = _generators(2, m)
+        for a, lines in enumerate(inc.through):
+            assert len(lines) == len(gens)
+            for j, li in enumerate(lines):
+                assert inc.lines[li][1] == gens[j] and inc.masks[li] >> a & 1

@@ -222,18 +222,16 @@ def test_nonaffine_collineation_report():
     # constructive confirmation: some pair of parallel lines gets mapped to
     # lines with different direction classes
     from torusaffine.collineation import build_incidence
-    from torusaffine.grid import point_index
+    from torusaffine.grid import line_indices
 
     inc = build_incidence(2, 4)
     by_mask = {mask: li for li, mask in enumerate(inc.masks)}
     image_gens = {}
-    for li, line in enumerate(inc.lines):
+    for base, g in inc.lines:
         mask = 0
-        for p in line.points:
-            mask |= 1 << f.images[point_index(p, 4)]
-        image_gens.setdefault(line.generator, set()).add(
-            inc.lines[by_mask[mask]].generator
-        )
+        for i in line_indices(base, g, 4):
+            mask |= 1 << f.images[i]
+        image_gens.setdefault(g, set()).add(inc.lines[by_mask[mask]][1])
     assert any(len(gens) > 1 for gens in image_gens.values())
 
 
