@@ -113,32 +113,20 @@ class LatticeBasis(Frozen):
 
 def _row_hnf(rows: list[list[int]]) -> list[list[int]]:
     """In-place row Hermite form: pivots positive, entries above a pivot
-    reduced into [0, pivot).  Returns the nonzero rows."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
+    reduced into [0, pivot).  Returns the nonzero rows.  Each entry below
+    a pivot is cleared by one :func:`_clear` step, written out on the two
+    rows: one new row when the pivot divides the entry, else two."""
     r = 0
-    for c in range(ncols):
-        # gather a nonzero pivot in column c at row r
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
+    for c in range(len(rows[0]) if rows else 0):
+        for i in range(r + 1, len(rows)):
+            if rows[i][c]:
+                x, y, z, w = _clear(rows[r][c], rows[i][c])
+                top, row = rows[r], rows[i]
+                if y:
+                    rows[r] = [x * s + y * t for s, t in zip(top, row)]
+                rows[i] = [z * s + w * t for s, t in zip(top, row)]
+        if r == len(rows) or not rows[r][c]:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        while True:
-            done = True
-            for i in range(r + 1, len(rows)):
-                if rows[i][c] != 0:
-                    q = rows[i][c] // rows[r][c]
-                    rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
-                    if rows[i][c] != 0:
-                        rows[r], rows[i] = rows[i], rows[r]
-                        done = False
-            if done:
-                break
         if rows[r][c] < 0:
             rows[r] = [-x for x in rows[r]]
         for i in range(r):
@@ -146,7 +134,7 @@ def _row_hnf(rows: list[list[int]]) -> list[list[int]]:
             if q:
                 rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
         r += 1
-    return [row for row in rows[:r]]
+    return rows[:r]
 
 
 def hnf(vectors: Iterable[Sequence[int]]) -> LatticeBasis:
@@ -213,8 +201,9 @@ def _step(mats, i, j, x, y, z, w) -> None:
 
 def _clear(p: int, b: int) -> tuple[int, int, int, int]:
     """A determinant-1 step (x, y, z, w) taking (p, b) to (+-gcd(p, b), 0):
-    a plain subtraction when p divides b, else the extended-gcd step."""
-    if b % p == 0:
+    a plain subtraction when p divides b, else the extended-gcd step, which
+    at p = 0 is a signed swap."""
+    if p and b % p == 0:
         return 1, 0, -(b // p), 1
     g, x, y = xgcd(p, b)
     return x, y, -(b // g), p // g
@@ -307,28 +296,22 @@ def matrix_inverse(
     """Exact inverse of a square integer matrix: over Z when ``modulus`` is
     None, else mod ``modulus`` with entries in [0, modulus).
 
-    The row Hermite form of [A | I] is [H | T] with T . A = H.  A unimodular
-    A has H = I, so T is its inverse; otherwise ValueError.  Mod m, H is
-    upper triangular with pivots whose product is |det A|, and H . X = T is
-    solved from the bottom row up; ValueError when a pivot, and so the
-    determinant, is not a unit mod m.
+    One Smith reduction d = u . A . v gives A^-1 = v . d^-1 . u.  ValueError
+    for a non-square matrix, and when an invariant is not 1 over Z or not a
+    unit mod m (det A is their product up to sign).
     """
     n = len(mat)
-    rows = _row_hnf([list(row) + eye for row, eye in zip(mat, _eye(n))])
-    h = [row[:n] for row in rows]
-    t = [row[n:] for row in rows]
+    if any(len(row) != n for row in mat):
+        raise ValueError("matrix is not square")
+    d, u, vt, _ = _smith(mat, False)
+    v = tuple(zip(*vt))
     if modulus is None:
-        if h != _eye(n):
+        if any(d[i][i] != 1 for i in range(n)):
             raise ValueError("matrix is not unimodular")
-        return tuple(tuple(row) for row in t)
-    x: list[list[int]] = [[] for _ in range(n)]
-    for i in reversed(range(n)):
-        row = t[i]
-        for j in range(i + 1, n):
-            row = [a - h[i][j] * b for a, b in zip(row, x[j])]
-        unit = pow(h[i][i], -1, modulus)
-        x[i] = [a * unit % modulus for a in row]
-    return tuple(tuple(row) for row in x)
+        return matmul(v, u)
+    # pow raises ValueError for an invariant that is not a unit mod m
+    scaled = [[pow(d[i][i], -1, modulus) * x for x in u[i]] for i in range(n)]
+    return tuple(tuple(x % modulus for x in row) for row in matmul(v, scaled))
 
 
 def basis_frames(basis: LatticeBasis) -> tuple[Matrix, Matrix]:
@@ -355,21 +338,13 @@ def basis_frames(basis: LatticeBasis) -> tuple[Matrix, Matrix]:
     return tuple(zip(*basis.vectors, *ut[k:])), inverse
 
 
-def saturate(basis: LatticeBasis | Iterable[Sequence[int]]) -> LatticeBasis:
-    """The saturation (rational span intersected with Z^n) of a lattice."""
-    if isinstance(basis, LatticeBasis):
-        vecs = basis.vectors
-        if basis.saturated:
-            return basis
-    else:
-        reduced = hnf(basis)
-        if reduced.saturated:
-            return reduced
-        vecs = reduced.vectors
-    if not vecs:
-        return LatticeBasis(vectors=(), saturated=True)
-    k = len(vecs)
-    d, _, _, ut = _smith(from_columns(vecs), True)
+def saturate(basis: LatticeBasis) -> LatticeBasis:
+    """The saturation (rational span intersected with Z^n) of a lattice,
+    read off one Smith reduction of its basis."""
+    if basis.saturated:
+        return basis
+    k = basis.rank
+    d, _, _, ut = _smith(from_columns(basis.vectors), True)
     if sum(1 for i in range(min(len(d), k)) if d[i][i] != 0) != k:
         raise ValueError("basis vectors are dependent")
     # d = u . B . v gives B . v = u^-1 . d, so the first k columns of the

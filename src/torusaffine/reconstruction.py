@@ -112,10 +112,18 @@ def _image_line(f: GridMap, indices: list[int]) -> tuple[int, ...] | None:
     return g if set(line_indices(q0, g, m)) == set(images) else None
 
 
-def _line_witness(f: GridMap, line: DiscreteLine) -> Witness | None:
+def _line_witness(f: GridMap, line: DiscreteLine) -> Witness:
     """First point triple of line whose images are non-collinear, in
-    lexicographic (i, j, k) scan order; None if every triple fits on some
-    line (possible only at composite moduli)."""
+    lexicographic (i, j, k) scan order, for a line whose image is not a line.
+
+    One exists by this lemma: in (Z/m)^n a set whose point triples are all
+    collinear has at most m points, and m such points form a line.  At
+    m = p^k, two of its points whose difference is nonzero mod p lie on
+    exactly one line, which then holds the whole set; otherwise the set
+    lies in a + p(Z/p^k)^n, and dividing by p reduces to modulus p^(k-1).
+    For general m a line is the product of its prime-power reductions
+    (CRT).  The m images of the line would form a line otherwise.
+    """
     pts = line.points
     images = [f.image_of(p) for p in pts]
     for i in range(len(pts)):
@@ -128,24 +136,16 @@ def _line_witness(f: GridMap, line: DiscreteLine) -> Witness | None:
                     continue
                 if not any(images[k] in c for c in cands):
                     return Witness((pts[i], pts[j], pts[k]), line)
-    return None
+    raise AssertionError("a set with every point triple collinear is a line")
 
 
 def verify_line_preserving(f: GridMap):
     """True when every discrete line maps onto a discrete line; otherwise
     the first Witness, scanning lines by (base, generator) from 0 up."""
-    broken = False
     for base, gen in enumerate_discrete_lines(f.n, f.m):
         if _image_line(f, line_indices(base, gen, f.m)) is None:
-            broken = True
-            witness = _line_witness(f, DiscreteLine(f.n, f.m, gen, base))
-            if witness is not None:
-                return witness
-    if not broken:
-        return True
-    raise NonaffineCollineationError(
-        "line images are broken, yet every point triple stays collinear"
-    )
+            return _line_witness(f, DiscreteLine(f.n, f.m, gen, base))
+    return True
 
 
 def infer_affine(f: GridMap):

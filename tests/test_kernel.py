@@ -271,6 +271,26 @@ def test_matrix_inverse_refuses_what_has_no_inverse():
         matrix_inverse(((2, 1), (0, 3)), 6)
     with pytest.raises(ValueError):
         matrix_inverse(((1, 2), (2, 4)), 5)
+    # a non-square matrix has no inverse, over Z or mod m
+    with pytest.raises(ValueError):
+        matrix_inverse(((1, 0, 0), (0, 1, 0)))
+    with pytest.raises(ValueError):
+        matrix_inverse(((1, 0), (0, 1), (1, 1)), 5)
+
+
+def test_inverse_comes_from_one_smith_pass(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("matrix_inverse ran a Hermite form")
+
+    monkeypatch.setattr(lattice, "_row_hnf", refuse)
+    rng = random.Random(5)
+    for n in (2, 3, 4):
+        for _ in range(40):
+            a = tuple(tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(n))
+            if gcd(det(a), 10) == 1:
+                assert mod_identity(a, matrix_inverse(a, 10), 10)
+    a = ((2, 3), (1, 2))
+    assert matmul(a, matrix_inverse(a)) == identity(2)
 
 
 @given(st.data())

@@ -8,7 +8,7 @@ is independent of the reduction code under test.
 import random
 from fractions import Fraction
 from itertools import product
-from math import prod
+from math import gcd, prod
 from time import perf_counter
 
 import pytest
@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from torusaffine.intmat import det, from_columns, matmul
 from torusaffine.lattice import (
     LatticeBasis,
+    _row_hnf,
     basis_frames,
     hnf,
     is_primitive,
@@ -222,7 +223,8 @@ def test_smith_product_is_abs_det():
 
 def test_smith_finishes_on_dense_input():
     # dense 4x4 input whose entries grew without bound in a
-    # swap-until-stable elimination
+    # swap-until-stable elimination; the Hermite forms, of the rows and of
+    # the rows stacked on bound * I, use the same extended-gcd steps
     for bound in (10**4, 10**7):
         rng = random.Random(7)
         for _ in range(30):
@@ -231,9 +233,25 @@ def test_smith_finishes_on_dense_input():
             )
             t0 = perf_counter()
             d, u, v = snf_decomposition(mat)
+            basis = hnf(mat)
+            stacked = _row_hnf(
+                [list(row) for row in mat]
+                + [[bound * (i == j) for j in range(4)] for i in range(4)]
+            )
             assert perf_counter() - t0 < 2.0, mat
             assert matmul(matmul(u, mat), v) == d
             assert prod(smith_invariants(mat)) == abs(det(mat))
+            # u is unimodular, so the rows of u . mat span the same lattice
+            assert hnf(matmul(u, mat)) == basis
+            # a triangular Hermite form whose index in Z^4 is that of
+            # mat's row lattice plus bound * Z^4
+            assert len(stacked) == 4
+            for i, row in enumerate(stacked):
+                assert row[:i] == [0] * i and row[i] > 0
+                assert all(0 <= above[i] < row[i] for above in stacked[:i])
+            assert prod(row[i] for i, row in enumerate(stacked)) == prod(
+                gcd(d[i][i], bound) for i in range(4)
+            )
 
 
 # --------------------------------------------------------- saturate

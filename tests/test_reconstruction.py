@@ -131,6 +131,50 @@ def test_verify_line_preserving_identity():
     assert verify_line_preserving(identity_map(2, 5)) is True
 
 
+@pytest.mark.parametrize("n,m", [(2, 4), (2, 6), (2, 8), (2, 9), (3, 4)])
+def test_collinear_sets_are_at_most_lines(n, m):
+    """The lemma behind _line_witness, by exhaustion: no set whose point
+    triples are all collinear has more than m points, and one with m points
+    is a line.  Lines are built here from their definition, a + {t g} with
+    gcd(g, m) = 1; by translation the sets searched all contain 0."""
+    pts = list(product(range(m), repeat=n))
+    index = {p: i for i, p in enumerate(pts)}
+    lines0 = set()  # the lines through 0, as bitmasks
+    for g in pts:
+        if gcd(*g, m) == 1:
+            lines0.add(sum(1 << index[tuple(t * x % m for x in g)] for t in range(m)))
+    # third[a][b]: the points c with a, b, c on one line, found by
+    # translating the lines through 0 and b - a to a
+    third = [[0] * len(pts) for _ in pts]
+    for a, pa in enumerate(pts):
+        for b, pb in enumerate(pts):
+            d = index[tuple((y - x) % m for x, y in zip(pa, pb))]
+            union = 0
+            for line in lines0:
+                if line >> d & 1:
+                    union |= line
+            third[a][b] = sum(
+                1 << index[tuple((x + y) % m for x, y in zip(pa, pts[c]))]
+                for c in range(len(pts)) if union >> c & 1
+            )
+    full = []
+
+    def grow(chosen, mask, cands):
+        assert len(chosen) <= m
+        if len(chosen) == m:
+            full.append(mask)
+        while cands:
+            c = cands.bit_length() - 1
+            cands &= ~(1 << c)
+            keep = cands
+            for x in chosen:
+                keep &= third[x][c]
+            grow(chosen + [c], mask | 1 << c, keep)
+
+    grow([0], 1, (1 << len(pts)) - 2)
+    assert set(full) == lines0
+
+
 @pytest.mark.parametrize("n,m", [(2, 6), (3, 4), (4, 3)])
 def test_line_indices_match_line_points(n, m):
     for base, gen in enumerate_discrete_lines(n, m):
