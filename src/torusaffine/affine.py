@@ -58,6 +58,8 @@ class AffineTorusAuto(Frozen):
         return cls(identity_matrix(n), origin(n), modulus)
 
     def apply(self, p: RatPoint) -> RatPoint:
+        if p.dim != self.dim:
+            raise ValueError("dimension mismatch")
         image = frac_matvec(self.matrix, p.coords)
         return RatPoint(tuple(x + b for x, b in zip(image, self.translation.coords)))
 

@@ -125,50 +125,47 @@ def contains_point(s: RationalSubtorus, p: RatPoint) -> bool:
     return all(sum(map(mul, row, delta)) % den == 0 for row in u_inv[s.rank :])
 
 
-def _congruence_solve(columns, target):
-    """Solve M x = target (mod Z^n) for the column matrix M.
+def _meet(s1: RationalSubtorus, s2: RationalSubtorus):
+    """Solve base1 + B1 x = base2 + B2 y (mod Z^n) for the bases B1, B2 of
+    the two cosets' lattices.
 
-    Returns None when unsolvable; otherwise (count, (denom, x0, steps),
-    kernel): count is the product of the nonzero Smith invariants q_j of M,
-    kernel an integer basis of the solutions of M x = 0, and the solutions,
-    one per residue class, are (x0 + sum_j w_j s_j) / denom for the residue
-    steps (q_j, s_j) with q_j > 1 and 0 <= w_j < q_j.  It runs on scaled
-    integers: with target = t / den and d = u M v, the system reads
-    d y = u t / den (mod Z^n) in y = v^-1 x.
+    Returns None when the cosets are disjoint; otherwise (count, (scale, p0,
+    gens), kernel).  count is the product of the nonzero Smith invariants
+    q_j of M = [B1 | -B2], kernel an integer basis of the solutions of
+    M (x, y) = 0, and the points base1 + B1 x over the solutions, one per
+    residue class, are p0 + sum_j w_j g_j (mod scale), scaled to integers,
+    for (q_j, g_j) in gens and 0 <= w_j < q_j.  It runs on scaled integers:
+    with target base2 - base1 = t / den and d = u M v, the system reads
+    d z = u t / den (mod Z^n) in z = v^-1 (x, y).
     """
+    if s1.dim != s2.dim:
+        raise ValueError("dimension mismatch")
+    vectors = s1.lattice.vectors
+    columns = list(vectors) + [tuple(-a for a in w) for w in s2.lattice.vectors]
     d, u, v = snf_decomposition(from_columns(columns))
     invariants = [d[i][i] for i in range(min(len(d), len(v))) if d[i][i] != 0]
     r = len(invariants)
-    den, t = _scaled(target)
+    den, t = _scaled(tuple(b - a for a, b in zip(s1.base.coords, s2.base.coords)))
     e = [sum(map(mul, row, t)) for row in u]
     if any(x % den for x in e[r:]):
         return None
     cols = tuple(zip(*v))
-    # y_j = (e_j / den + w_j) / q_j and x = v . (y, 0); map stops at y's end.
+    # z_j = (e_j / den + w_j) / q_j and (x, y) = v . (z, 0); map stops at z's
+    # end.  Each row of B1 has len(vectors) entries, so map() reads only x.
     denom = den * lcm(*invariants)
-    y0 = [x * (denom // (den * q)) for q, x in zip(invariants, e)]
-    x0 = tuple(sum(map(mul, row, y0)) for row in v)
-    pairs = zip(invariants, cols)
-    steps = [(q, tuple(denom // q * c for c in col)) for q, col in pairs if q > 1]
-    return prod(invariants), (denom, x0, steps), cols[r:]
-
-
-def _solution_coset(base: RatPoint, vectors, solution):
-    """The points base + sum_j (x_j / denom) vectors[j] (mod 1) over the
-    solutions x of :func:`_congruence_solve` (their first len(vectors)
-    entries), scaled to integers: (scale, p0, gens) with the points
-    p0 + sum_j w_j g_j (mod scale) for (q_j, g_j) in gens, 0 <= w_j < q_j."""
-    denom, x0, steps = solution
-    den, nums = _scaled(base.coords)
-    scale = lcm(den, denom)
-    lift = scale // den
-    mult = scale // denom
-    # Each row of the vectors' matrix has len(vectors) entries, so map()
-    # reads only those leading entries of x.
+    z0 = [x * (denom // (den * q)) for q, x in zip(invariants, e)]
+    x0 = tuple(sum(map(mul, row, z0)) for row in v)
+    bden, nums = _scaled(s1.base.coords)
+    scale = lcm(bden, denom)
+    lift, mult = scale // bden, scale // denom
     mat = from_columns(vectors)
     p0 = tuple(b * lift + mult * sum(map(mul, row, x0)) for b, row in zip(nums, mat))
-    gens = [(q, tuple(mult * sum(map(mul, row, s)) for row in mat)) for q, s in steps]
-    return scale, p0, gens
+    gens = [
+        (q, tuple(mult * (denom // q) * sum(map(mul, row, col)) for row in mat))
+        for q, col in zip(invariants, cols)
+        if q > 1
+    ]
+    return prod(invariants), (scale, p0, gens), cols[r:]
 
 
 def are_parallel(l1: RationalLine, l2: RationalLine) -> bool:
@@ -222,22 +219,16 @@ def intersection_points(l1: RationalLine, l2: RationalLine) -> tuple[RatPoint, .
     (ValueError "infinite intersection"); parallel distinct lines give ().
     In T^n with n > 2 the result may be empty even for non-parallel lines.
     """
-    if l1.dim != l2.dim:
-        raise ValueError("dimension mismatch")
     if l1 == l2:
         raise ValueError("infinite intersection")
     if are_parallel(l1, l2):
         return ()
-    v1 = l1.direction
-    columns = [v1, tuple(-x for x in l2.direction)]
-    target = tuple(b - a for a, b in zip(l1.base.coords, l2.base.coords))
-    solved = _congruence_solve(columns, target)
-    if solved is None:
+    met = _meet(l1, l2)
+    if met is None:
         return ()
-    count, solution, _ = solved
+    count, (scale, p0, gens), _ = met
     if count > MAX_POINTS:
         raise ValueError(f"{count} solutions, more than {MAX_POINTS} to build")
-    scale, p0, gens = _solution_coset(l1.base, [v1], solution)
     found = {tuple(c % scale for c in p0)}
     for q, g in gens:
         found = {

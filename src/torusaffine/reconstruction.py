@@ -64,6 +64,8 @@ class GridMap(Frozen):
         return self.m**self.n
 
     def image_of(self, p: tuple[int, ...]) -> tuple[int, ...]:
+        if len(p) != self.n:
+            raise ValueError("dimension mismatch")
         return index_point(self.images[point_index(p, self.m)], self.n, self.m)
 
     @classmethod
@@ -178,34 +180,29 @@ def _direction_normalizer(f: GridMap) -> tuple | None:
     """A matrix mod m acting on line directions exactly as f does on the
     four block families (horizontal, vertical, slope 1, slope -1), or None
     when no matrix matches.  A translation changes no generator, so the
-    lines through 0 stand for their families.
+    lines through 0 stand for their families.  Let gh, gv, gd, ga be the
+    canonical generators of their images.  A match over a unit stays one,
+    so take columns gh, u gv with det(gh, gv) a unit: gh + u gv spans <gd>
+    iff Cramer's rule gives gd = a gh + b gv, a and b units, u = b / a.
+    Then gh - u gv must span <ga>.
 
     Blocks are woven out of those four families, so block preservation is a
     statement about f with its direction action divided out; an affine map
     is normalized by its own linear part.
     """
     m = f.m
-    families = [(1, 0), (0, 1), (1, 1), (1, m - 1)]
-    image_gen = {}
-    for d in families:
-        gen = _image_line(f, line_indices((0, 0), d, m))
-        if gen is None:
-            return None
-        image_gen[d] = canonical_generator(gen, m)
-    gh, gv = image_gen[(1, 0)], image_gen[(0, 1)]
-    for u1, u2 in product(_units(m), repeat=2):
-        col1 = tuple(u1 * x % m for x in gh)
-        col2 = tuple(u2 * x % m for x in gv)
-        if gcd(col1[0] * col2[1] - col1[1] * col2[0], m) != 1:
-            continue
-        diag = tuple((a + b) % m for a, b in zip(col1, col2))
-        anti = tuple((a - b) % m for a, b in zip(col1, col2))
-        if (
-            canonical_generator(diag, m) == image_gen[(1, 1)]
-            and canonical_generator(anti, m) == image_gen[(1, m - 1)]
-        ):
-            return ((col1[0], col2[0]), (col1[1], col2[1]))
-    return None
+    lines = [line_indices((0, 0), d, m) for d in ((1, 0), (0, 1), (1, 1), (1, m - 1))]
+    gens = [_image_line(f, line) for line in lines]
+    if None in gens:
+        return None
+    (h0, h1), (v0, v1), (d0, d1), ga = (canonical_generator(g, m) for g in gens)
+    a, b = d0 * v1 - d1 * v0, h0 * d1 - h1 * d0
+    if gcd((h0 * v1 - h1 * v0) * a * b, m) != 1:
+        return None
+    u = b * pow(a, -1, m) % m
+    if canonical_generator(((h0 - u * v0) % m, (h1 - u * v1) % m), m) != ga:
+        return None
+    return ((h0, u * v0 % m), (h1, u * v1 % m))
 
 
 def _blocks_preserved(f: GridMap) -> bool:

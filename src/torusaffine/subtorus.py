@@ -1,9 +1,10 @@
 """Rational subtorus cosets: spans, line and coset intersection counting,
 component decomposition, quotient projections and images.
 
-The coset type itself, its membership test and the congruence solver live
-in :mod:`torusaffine.geometry` (a rational line is the rank-1 coset) and are
-re-exported here.
+The coset type, its membership test and ``_meet``, the one coset
+intersection that the counts and the decomposition here read, live in
+:mod:`torusaffine.geometry` (a rational line is the rank-1 coset); the type
+and the membership test are re-exported here.
 """
 
 from __future__ import annotations
@@ -16,9 +17,8 @@ from .geometry import (
     IntersectionCount,
     RationalLine,
     RationalSubtorus,
-    _congruence_solve,
     _frames,
-    _solution_coset,
+    _meet,
     contains_point,  # noqa: F401  (called through subtorus by bench/queries.py)
 )
 from .intmat import frac_matvec, matvec
@@ -43,24 +43,21 @@ def line_as_subtorus(line: RationalLine) -> RationalSubtorus:
 def line_subtorus_count(line: RationalLine, s: RationalSubtorus) -> IntersectionCount:
     """How often a rational line meets a subtorus coset: infinite exactly
     when the line lies inside it, otherwise an exact finite count."""
-    if line.base.dim != s.dim:
-        raise ValueError("dimension mismatch")
-    columns = [line.direction] + [tuple(-a for a in v) for v in s.lattice.vectors]
-    target = tuple(b - a for a, b in zip(line.base.coords, s.base.coords))
-    solved = _congruence_solve(columns, target)
-    if solved is None:
+    met = _meet(line, s)
+    if met is None:
         return IntersectionCount.finite(0)
     # a solution with a kernel means the line runs inside the coset
-    count, _, kernel = solved
+    count, _, kernel = met
     return IntersectionCount.infinite() if kernel else IntersectionCount.finite(count)
 
 
 class ComponentDecomposition(Frozen):
     """The pieces of a nonempty intersection of two subtorus cosets: how
     many parallel components there are, their common dimension, and the
-    component through the least point of the solver's coset, which holds
-    one point per component and is fixed by s1's base and the particular
-    solution (a bare point when the intersection is finite)."""
+    component through the least point of the solution coset `_meet` builds
+    on s1's points, which holds one point per component and is fixed by
+    s1's base and the particular solution (a bare point when the
+    intersection is finite)."""
 
     __slots__ = ("component_count", "common_dimension", "representative")
 
@@ -69,18 +66,10 @@ def intersect_subtori(
     s1: RationalSubtorus, s2: RationalSubtorus
 ) -> ComponentDecomposition | None:
     """Intersect two subtorus cosets; None when they are disjoint."""
-    if s1.dim != s2.dim:
-        raise ValueError("dimension mismatch")
-    k1 = s1.rank
-    columns = list(s1.lattice.vectors) + [
-        tuple(-a for a in v) for v in s2.lattice.vectors
-    ]
-    target = tuple(b - a for a, b in zip(s1.base.coords, s2.base.coords))
-    solved = _congruence_solve(columns, target)
-    if solved is None:
+    met = _meet(s1, s2)
+    if met is None:
         return None
-    count, solution, kernel = solved
-    scale, best, gens = _solution_coset(s1.base, s1.lattice.vectors, solution)
+    count, (scale, best, gens), kernel = met
     # As q_j g_j = 0 (mod scale), the points are the coset of best modulo
     # the lattice of the gens and scale Z^n.  Its row Hermite form has row
     # i's pivot in column i, so reducing coordinate i into [0, pivot) by
@@ -93,7 +82,7 @@ def intersect_subtori(
     anchor = _canonical(tuple(Fraction(c, scale) for c in best))
 
     basis_matrix = s1.lattice.matrix()
-    kernel_images = [matvec(basis_matrix, coeffs[:k1]) for coeffs in kernel]
+    kernel_images = [matvec(basis_matrix, coeffs[: s1.rank]) for coeffs in kernel]
     if not kernel_images:
         return ComponentDecomposition(count, 0, anchor)
     tangent = saturate(hnf(kernel_images))

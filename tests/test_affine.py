@@ -39,6 +39,13 @@ def test_apply_shear():
     assert shear.apply(point("1/3", "1/4")) == point("5/6", "7/12")
 
 
+def test_apply_refuses_points_of_another_dimension():
+    shear = AffineTorusAuto(((1, 0), (1, 1)), point("1/2", 0))
+    for p in (point(0, 0, "1/2"), point("1/3")):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            shear.apply(p)
+
+
 def test_inverse_integral():
     shear = AffineTorusAuto(((1, 2), (0, 1)), point("1/3", "1/2"))
     inv = shear.inverse()

@@ -23,7 +23,9 @@ from torusaffine.collineation import collineation_group
 from torusaffine.geometry import is_block
 from torusaffine.grid import (
     DiscreteLine,
+    _units,
     affine_table,
+    canonical_generator,
     enumerate_discrete_lines,
     is_affine_perm,
     line_indices,
@@ -42,6 +44,7 @@ from torusaffine.reconstruction import (
     verify_line_preserving,
     _blocks_preserved,
     _direction_normalizer,
+    _image_line,
 )
 
 
@@ -63,6 +66,13 @@ def test_gridmap_validation():
         GridMap(2, 3, (0,) * 9)
     with pytest.raises(ValueError, match="modulus too small"):
         GridMap(2, 2, tuple(range(4)))
+
+
+def test_image_of_refuses_points_of_another_dimension():
+    f = identity_map(2, 3)
+    for p in ((1,), (1, 2, 2)):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            f.image_of(p)
 
 
 def test_from_affine_shear():
@@ -129,6 +139,22 @@ def test_witness_validate_rejects_collinear_images():
 
 def test_verify_line_preserving_identity():
     assert verify_line_preserving(identity_map(2, 5)) is True
+
+
+def test_line_whose_image_has_no_unit_step():
+    # the line x = 0 of the 4-grid goes onto 2 * (Z/4)^2, where no two
+    # images differ by a unit step, so its image is no line; the other
+    # points fill the remaining indices in order
+    line_images = [0, 2, 8, 10]
+    rest = [i for i in range(16) if i not in line_images]
+    f = GridMap(2, 4, tuple(line_images + rest))
+    witness = verify_line_preserving(f)
+    assert witness == Witness(
+        ((0, 0), (0, 1), (0, 2)), DiscreteLine(2, 4, (0, 1), (0, 0))
+    )
+    assert witness.validate(f)
+    with pytest.raises(ValueError, match="map does not preserve lines"):
+        check_paper_properties(f)
 
 
 @pytest.mark.parametrize("n,m", [(2, 4), (2, 6), (2, 8), (2, 9), (3, 4)])
@@ -388,20 +414,69 @@ def random_affine_table(rng, m):
     return affine_table(AffineTorusAuto(a, b, m), 2, m)
 
 
-def test_block_walk_matches_definition_on_m4_stabilizer():
-    # every collineation fixing 0 at m = 4, the exotic ones included, and
-    # each of them followed by every translation of the grid
+def m4_stabilizer_maps():
+    """Every collineation fixing 0 at m = 4, the exotic ones included, each
+    followed by every translation of the grid."""
     m = 4
     shifts = [
         affine_table(AffineTorusAuto(identity(2), grid_point(a, b, m=m), m), 2, m)
         for a, b in product(range(m), repeat=2)
     ]
-    verdicts = set()
     for perm in collineation_group(2, m).stabilizer():
         for t in shifts:
-            f = GridMap(2, m, tuple(t[i] for i in perm))
-            verdicts.add(block_walk_matching_reference(f))
+            yield GridMap(2, m, tuple(t[i] for i in perm))
+
+
+def test_block_walk_matches_definition_on_m4_stabilizer():
+    verdicts = {block_walk_matching_reference(f) for f in m4_stabilizer_maps()}
     assert verdicts == {True, False}
+
+
+def unit_search_normalizer(f):
+    """The direction normalizer by search: the first pair of units (u1, u2)
+    whose columns u1 gh, u2 gv send the diagonal and the antidiagonal to the
+    images' subgroups too."""
+    m = f.m
+    families = [(1, 0), (0, 1), (1, 1), (1, m - 1)]
+    image_gen = {}
+    for d in families:
+        gen = _image_line(f, line_indices((0, 0), d, m))
+        if gen is None:
+            return None
+        image_gen[d] = canonical_generator(gen, m)
+    gh, gv = image_gen[(1, 0)], image_gen[(0, 1)]
+    for u1, u2 in product(_units(m), repeat=2):
+        col1 = tuple(u1 * x % m for x in gh)
+        col2 = tuple(u2 * x % m for x in gv)
+        if gcd(col1[0] * col2[1] - col1[1] * col2[0], m) != 1:
+            continue
+        diag = tuple((a + b) % m for a, b in zip(col1, col2))
+        anti = tuple((a - b) % m for a, b in zip(col1, col2))
+        if (
+            canonical_generator(diag, m) == image_gen[(1, 1)]
+            and canonical_generator(anti, m) == image_gen[(1, m - 1)]
+        ):
+            return ((col1[0], col2[0]), (col1[1], col2[1]))
+    return None
+
+
+def test_direction_normalizer_matches_unit_search():
+    maps = list(m4_stabilizer_maps())
+    for m in range(3, 13):
+        rng = random.Random(m)
+        for _ in range(20):
+            images = list(random_affine_table(rng, m))
+            swapped = list(images)
+            i, j = rng.sample(range(m * m), 2)
+            swapped[i], swapped[j] = swapped[j], swapped[i]
+            shuffled = rng.sample(range(m * m), m * m)
+            maps += [GridMap(2, m, tuple(t)) for t in (images, swapped, shuffled)]
+    found = set()
+    for f in maps:
+        matrix = _direction_normalizer(f)
+        assert matrix == unit_search_normalizer(f)
+        found.add(matrix is None)
+    assert found == {True, False}
 
 
 @pytest.mark.parametrize("m", range(3, 9))

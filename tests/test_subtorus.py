@@ -17,7 +17,10 @@ from hypothesis import strategies as st
 
 from torusaffine.affine import AffineTorusAuto
 from torusaffine.geometry import (
+    IntersectionCount,
+    are_parallel,
     intersection_count_2d,
+    intersection_points,
     line_through,
 )
 from torusaffine.intmat import from_columns, matvec, scaled
@@ -441,6 +444,54 @@ def test_component_count_matches_line_intersections(d1, d2, a, b):
         assert dec is not None
         assert dec.common_dimension == 0
         assert dec.component_count == counted.count
+
+
+def random_line(rng, n):
+    direction = [0] * n
+    while not any(direction):
+        direction = [rng.randint(-6, 6) for _ in range(n)]
+    return line_through([Fraction(rng.randrange(12), 12) for _ in range(n)], direction)
+
+
+def test_line_meets_agree():
+    # intersection_points, intersect_subtori and line_subtorus_count read
+    # one coset intersection, so on non-parallel lines they tell one story
+    rng = random.Random(25)
+    pairs = nonempty = 0
+    while pairs < 2000:
+        n = rng.choice((2, 3))
+        l1, l2 = random_line(rng, n), random_line(rng, n)
+        if are_parallel(l1, l2):
+            continue
+        pairs += 1
+        points = intersection_points(l1, l2)
+        dec = intersect_subtori(l1, l2)
+        assert dec == intersect_subtori(line_as_subtorus(l1), line_as_subtorus(l2))
+        count = line_subtorus_count(l1, line_as_subtorus(l2))
+        if not points:
+            assert dec is None
+            assert count == IntersectionCount.finite(0)
+            continue
+        nonempty += 1
+        assert dec == ComponentDecomposition(len(points), 0, points[0])
+        assert count == IntersectionCount.finite(len(points))
+    assert 500 < nonempty < 1500, nonempty
+
+
+def test_meets_refuse_mixed_dimensions():
+    l2 = line_through(origin(2), (1, 2))
+    l3 = line_through(origin(3), (1, 2, 3))
+    plane = subtorus_span(origin(3), [(1, 0, 0), (0, 1, 0)])
+    calls = [
+        (intersection_points, l2, l3),
+        (intersection_points, l3, l2),
+        (line_subtorus_count, l2, plane),
+        (intersect_subtori, line_as_subtorus(l2), plane),
+        (intersect_subtori, plane, line_as_subtorus(l2)),
+    ]
+    for call, a, b in calls:
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            call(a, b)
 
 
 # ---------------------------------------------------------- quotients
