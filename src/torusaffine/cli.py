@@ -28,7 +28,6 @@ from .common import MAX_POINTS
 # collineation search.
 if TYPE_CHECKING:
     from .affine import AffineTorusAuto
-    from .ratpoint import RatPoint
     from .reconstruction import GridMap, Witness
 
 
@@ -39,26 +38,14 @@ class InputError(Exception):
 # ------------------------------------------------------------ helpers
 
 
-def _parse_ints(text: str) -> tuple[int, ...]:
+def _parse_pair(text: str, parse, kind: str) -> tuple:
     try:
-        parts = tuple(int(tok) for tok in text.split(","))
-    except ValueError as err:
-        raise InputError(f"bad integer pair {text!r}") from err
-    if len(parts) != 2:
-        raise InputError(f"expected two comma-separated integers, got {text!r}")
-    return parts
-
-
-def _parse_rationals(text: str) -> RatPoint:
-    from .ratpoint import RatPoint, parse_rational
-
-    try:
-        coords = tuple(parse_rational(tok) for tok in text.split(","))
+        pair = tuple(parse(tok) for tok in text.split(","))
     except (ValueError, ZeroDivisionError) as err:
-        raise InputError(f"bad rational pair {text!r}") from err
-    if len(coords) != 2:
-        raise InputError(f"expected two comma-separated rationals, got {text!r}")
-    return RatPoint(coords)
+        raise InputError(f"bad {kind} pair {text!r}") from err
+    if len(pair) != 2:
+        raise InputError(f"expected two comma-separated {kind}s, got {text!r}")
+    return pair
 
 
 def _read_text(path: str) -> str:
@@ -85,11 +72,12 @@ def _write_text(path: str | None, text: str) -> None:
 
 def _line_from_args(dir_text: str, base_text: str):
     from .geometry import line_through
+    from .ratpoint import parse_rational
 
-    direction = _parse_ints(dir_text)
+    direction = _parse_pair(dir_text, int, "integer")
     if direction == (0, 0):
         raise InputError("direction must be nonzero")
-    return line_through(_parse_rationals(base_text), direction)
+    return line_through(_parse_pair(base_text, parse_rational, "rational"), direction)
 
 
 # --------------------------------------------------------------- gen

@@ -289,9 +289,11 @@ def grid_oracle_count(
     common denominator fine enough to hold every intersection point, and
     literally intersect the point sets.
 
-    Raises ValueError for parallel lines and when the grid denominator
-    exceeds ``max_denominator``.
+    Raises ValueError for lines not on T^2, for parallel lines and when the
+    grid denominator exceeds ``max_denominator``.
     """
+    if l1.dim != 2 or l2.dim != 2:
+        raise ValueError("T^2 lines required")
     if are_parallel(l1, l2):
         raise ValueError("parallel lines: the grid oracle refuses")
     d = abs(det((l1.direction, l2.direction)))

@@ -59,9 +59,7 @@ def primitive_part(v: Sequence[int]) -> tuple[IntVec, int]:
     ValueError.
     """
     vec = tuple(map(_integer, v))
-    g = 0
-    for x in vec:
-        g = gcd(g, x)
+    g = gcd(*vec)
     if g == 0:
         raise ValueError("zero vector has no primitive part")
     prim = tuple(x // g for x in vec)
@@ -74,10 +72,7 @@ def primitive_part(v: Sequence[int]) -> tuple[IntVec, int]:
 
 
 def is_primitive(v: Sequence[int]) -> bool:
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    return g == 1
+    return gcd(*v) == 1
 
 
 class LatticeBasis(Frozen):

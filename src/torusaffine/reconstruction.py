@@ -79,7 +79,18 @@ class GridMap(Frozen):
 
 class Witness(Frozen):
     """Certificate that a grid map is not a collineation: three points on
-    one discrete line whose images lie on no discrete line at all."""
+    one discrete line whose images lie on no discrete line at all.
+
+    It certifies the same on T^n: three m-grid points lie on one line of
+    T^n exactly when they lie on one discrete line.  A line of T^n through
+    grid points a != b is a + R*v with b - a = t*v + k, k in Z^n, so it is
+    the closed line a + R*d, d primitive along b - a + k.  A grid point x
+    is on it when x - a = s*d mod Z^n; s is then in (1/m)Z, as some integer
+    combination of d's entries is 1, so exactly when x is on the discrete
+    line a + <d mod m>.  Conversely a + <g> is the trace of the line through a
+    with direction primitive_lift(g, m).  So no bijection of T^n that
+    extends a table with a valid witness maps lines to lines.
+    """
 
     __slots__ = ("points", "line")
 

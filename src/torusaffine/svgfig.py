@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import floor
+from math import ceil, floor
 
 from .lattice import primitive_part
 from .ratpoint import parse_rational
@@ -44,7 +44,7 @@ def _fmt(value: Fraction) -> str:
 
 
 def _rational(token, what: str) -> Fraction:
-    if isinstance(token, int):
+    if isinstance(token, int) and not isinstance(token, bool):
         return Fraction(token)
     if isinstance(token, str):
         try:
@@ -80,12 +80,7 @@ def wrapped_strokes(
         if d == 0:
             continue
         lo, hi = sorted((b, b + t_end * d))
-        k = floor(lo) + 1
-        while k < hi:
-            t = Fraction(k - b, d)
-            if 0 < t < t_end:
-                cuts.add(t)
-            k += 1
+        cuts.update(Fraction(k - b, d) for k in range(floor(lo) + 1, ceil(hi)))
     ts = sorted(cuts)
     strokes = []
     for t0, t1 in zip(ts, ts[1:]):
@@ -97,19 +92,31 @@ def wrapped_strokes(
     return strokes
 
 
-def _diagonal(a, b, what: str):
-    """Wrapped strokes of the slope +-1 connection between two points."""
+def _connection(a, b):
+    """Wrapped strokes of the block edge from corner a to corner b, along
+    the first of (1, 0), (0, 1), (1, 1) and (1, -1) that is a direction d
+    with b - a = t*d (mod 1), t in [0, 1)."""
     dx = (b[0] - a[0]) % 1
     dy = (b[1] - a[1]) % 1
-    if dx == dy:
-        direction, span = (1, 1), dx
-    elif (dx + dy) % 1 == 0:
-        direction, span = (1, -1), dx
-    else:
-        raise SceneError(f"{what} corners admit no slope +-1 connection")
-    if span == 0:
-        return []
-    return wrapped_strokes(a, direction, span)
+    for (p, q), t in (((1, 0), dx), ((0, 1), dy), ((1, 1), dx), ((1, -1), dx)):
+        if (dx - p * t) % 1 == 0 and (dy - q * t) % 1 == 0:
+            return wrapped_strokes(a, (p, q), t)
+    raise SceneError("block corners admit no slope +-1 connection")
+
+
+def _line(stroke, paint: str) -> str:
+    x0, y0, x1, y1 = stroke
+    return (
+        f'<line x1="{_fmt(x0)}" y1="{_fmt(1 - y0)}" x2="{_fmt(x1)}"'
+        f' y2="{_fmt(1 - y1)}" {paint} />'
+    )
+
+
+def _circle(at, radius: str, fill: str) -> str:
+    return (
+        f'<circle cx="{_fmt(at[0])}" cy="{_fmt(1 - at[1])}" r="{radius}"'
+        f' fill="{fill}" />'
+    )
 
 
 def _line_direction(entry: dict) -> tuple[int, int]:
@@ -117,9 +124,8 @@ def _line_direction(entry: dict) -> tuple[int, int]:
     if (
         not isinstance(direction, (list, tuple))
         or len(direction) != 2
-        or not all(isinstance(c, int) for c in direction)
-        or direction == [0, 0]
-        or direction == (0, 0)
+        or not all(isinstance(c, int) and not isinstance(c, bool) for c in direction)
+        or not any(direction)
     ):
         raise SceneError("line direction must be a nonzero integer pair")
     return primitive_part(tuple(direction))[0]
@@ -130,25 +136,17 @@ def _line_elements(entry: dict, direction: tuple[int, int]) -> list[str]:
     stroke = _style(entry, "stroke", DEFAULT_STROKE)
     width = _style(entry, "width", "0.008")
     dash = _style(entry, "dash", "")
-    extra = f' stroke-dasharray="{dash}"' if dash else ""
-    out = []
-    for x0, y0, x1, y1 in wrapped_strokes(base, direction, Fraction(1)):
-        out.append(
-            f'<line x1="{_fmt(x0)}" y1="{_fmt(1 - y0)}" x2="{_fmt(x1)}"'
-            f' y2="{_fmt(1 - y1)}" stroke="{stroke}" stroke-width="{width}"'
-            f"{extra} />"
-        )
-    return out
+    paint = f'stroke="{stroke}" stroke-width="{width}"'
+    if dash:
+        paint += f' stroke-dasharray="{dash}"'
+    return [_line(s, paint) for s in wrapped_strokes(base, direction, Fraction(1))]
 
 
 def _point_elements(entry: dict) -> list[str]:
     at = _pair(entry.get("at"), "point position")
     fill = _style(entry, "fill", DEFAULT_POINT_FILL)
     radius = _style(entry, "radius", "0.014")
-    return [
-        f'<circle cx="{_fmt(at[0])}" cy="{_fmt(1 - at[1])}" r="{radius}"'
-        f' fill="{fill}" />'
-    ]
+    return [_circle(at, radius, fill)]
 
 
 def _block_elements(entry: dict) -> list[str]:
@@ -161,29 +159,12 @@ def _block_elements(entry: dict) -> list[str]:
     stroke = _style(entry, "stroke", DEFAULT_BLOCK_STROKE)
     width = _style(entry, "width", "0.006")
     corners = [(x0, y0), (x1, y0), (x0, y1), (x1, y1)]
-    strokes = []
-    for a, b in (
-        ((x0, y0), (x1, y0)),
-        ((x0, y1), (x1, y1)),
-        ((x0, y0), (x0, y1)),
-        ((x1, y0), (x1, y1)),
-    ):
-        span = (b[0] - a[0]) % 1 if a[1] == b[1] else (b[1] - a[1]) % 1
-        direction = (1, 0) if a[1] == b[1] else (0, 1)
-        strokes.extend(wrapped_strokes(a, direction, span))
-    strokes.extend(_diagonal((x0, y0), (x1, y1), "block"))
-    strokes.extend(_diagonal((x1, y0), (x0, y1), "block"))
-    out = [
-        f'<line x1="{_fmt(sx0)}" y1="{_fmt(1 - sy0)}" x2="{_fmt(sx1)}"'
-        f' y2="{_fmt(1 - sy1)}" stroke="{stroke}" stroke-width="{width}" />'
-        for sx0, sy0, sx1, sy1 in strokes
-    ]
-    for cx, cy in corners:
-        out.append(
-            f'<circle cx="{_fmt(cx)}" cy="{_fmt(1 - cy)}" r="0.012"'
-            f' fill="{stroke}" />'
-        )
-    return out
+    # four sides (bottom, top, left, right), then the two diagonals
+    edges = ((0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2))
+    paint = f'stroke="{stroke}" stroke-width="{width}"'
+    return [
+        _line(s, paint) for i, j in edges for s in _connection(corners[i], corners[j])
+    ] + [_circle(c, "0.012", stroke) for c in corners]
 
 
 def render_scene(scene: dict) -> str:

@@ -61,6 +61,13 @@ def _dot(u, p):
     return u[0] * p[0] + u[1] * p[1] + u[2] * p[2]
 
 
+def _scaled_to_ints(coords, scale):
+    """The coordinates times scale, which must all be integers."""
+    scaled = tuple(c * scale for c in coords)
+    assert all(c.denominator == 1 for c in scaled)
+    return tuple(map(int, scaled))
+
+
 def _cross(a, b):
     return (
         a[1] * b[2] - a[2] * b[1],
@@ -528,17 +535,16 @@ def test_line_subtorus_counts_match_grid_oracle():
                     sub, RatPoint(tuple(Fraction(c, 5) for c in v))
                 )
             else:
-                pts = [
-                    tuple(Fraction(j * c, k) % 1 for c in v) for j in range(k)
-                ]
-                assert len(set(pts)) == k
-                cnt = sum(1 for p in pts if _dot(nu, p) % 1 == 0)
+                # the points j*v/k of the line, scaled by k
+                pts = {tuple(j * c % k for c in v) for j in range(k)}
+                assert len(pts) == k
+                cnt = sum(1 for p in pts if _dot(nu, p) % k == 0)
                 assert got.count == cnt
                 assert dec is not None
                 assert dec.component_count == cnt
                 assert dec.common_dimension == 0
                 rep = dec.representative
-                assert tuple(rep.coords) in set(pts)
+                assert tuple(c * k for c in rep.coords) in pts
                 assert _dot(nu, rep.coords) % 1 == 0
             checked += 1
 
@@ -566,16 +572,14 @@ def test_line_subtorus_counts_match_grid_oracle():
                 assert got.count == 0
                 assert dec is None
         else:
+            # the points base + j*v/fine, scaled by fine
             fine = 12 * k
+            b0 = _scaled_to_ints(line.base.coords, fine)
+            a0 = _scaled_to_ints(anchor.coords, fine)
             pts = set()
             for j in range(fine):
-                p = tuple(
-                    (b + Fraction(j, fine) * c) % 1
-                    for b, c in zip(line.base.coords, v)
-                )
-                if _dot(nu, tuple(
-                    x - a for a, x in zip(anchor.coords, p)
-                )) % 1 == 0:
+                p = tuple((b + j * c) % fine for b, c in zip(b0, v))
+                if _dot(nu, tuple(x - a for a, x in zip(a0, p))) % fine == 0:
                     pts.add(p)
             assert got.count == len(pts)
             assert dec is not None and dec.component_count == len(pts)

@@ -392,6 +392,16 @@ def test_intersect_refuses_too_many_points(capsys):
 def test_intersect_parse_error(capsys):
     code, out, err = run(capsys, "intersect", "--dir1", "1;0", "--dir2", "0,1")
     assert code == 2
+    for argv, message in (
+        (["--dir1", "1;0"], "bad integer pair '1;0'"),
+        (["--dir1", "1,2,3"], "expected two comma-separated integers, got '1,2,3'"),
+        (["--dir1", "1,0", "--base1", "1/0,0"], "bad rational pair '1/0,0'"),
+        (["--dir1", "1,0", "--base1", "1/2"],
+         "expected two comma-separated rationals, got '1/2'"),
+        (["--dir1", "0,0"], "direction must be nonzero"),
+    ):
+        result = run(capsys, "intersect", *argv, "--dir2", "0,1")
+        assert result == (2, "", f"error: {message}\n")
 
 
 def test_oracle_counts(capsys):
@@ -543,6 +553,37 @@ def test_svg_invalid_scene(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert run(capsys, "svg", str(path))[0] == 2
+
+
+@pytest.mark.parametrize(
+    "scene, message",
+    [
+        ([], "scene must be a JSON object"),
+        ({"points": [1]}, "each points entry must be an object"),
+        ({"points": [{"at": [0, 0], "fill": "red;"}]}, "bad style value 'red;'"),
+        (
+            {"blocks": [{"x0": "0", "x1": "1/3", "y0": "0", "y1": "1/4"}]},
+            "block corners admit no slope +-1 connection",
+        ),
+        (
+            {"blocks": [{"x0": "1/3", "x1": "4/3", "y0": "0", "y1": "1/2"}]},
+            "block sides must be nonzero",
+        ),
+        # JSON booleans are Python ints, but neither numbers nor directions
+        (
+            {"lines": [{"direction": [True, False]}]},
+            "line direction must be a nonzero integer pair",
+        ),
+        ({"points": [{"at": [True, 0]}]}, "bad rational True in point position"),
+        (
+            {"blocks": [{"x0": False, "x1": "1/3", "y0": "0", "y1": "1/3"}]},
+            "bad rational False in block x0",
+        ),
+    ],
+)
+def test_svg_refusals(tmp_path, capsys, scene, message):
+    result = run(capsys, "svg", write_scene(tmp_path, scene))
+    assert result == (2, "", f"error: {message}\n")
 
 
 def test_svg_refuses_steep_line(tmp_path, capsys):

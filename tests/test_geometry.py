@@ -17,9 +17,11 @@ from torusaffine.affine import AffineTorusAuto
 from torusaffine.geometry import (
     IntersectionCount,
     RatPoint,
+    RationalSubtorus,
     are_parallel,
     block_criterion,
     contains_point,
+    grid_oracle_count,
     intersection_count_2d,
     intersection_points,
     is_block,
@@ -27,8 +29,11 @@ from torusaffine.geometry import (
     line_hyperplane_count,
     line_through,
 )
+from torusaffine.grid import DiscreteLine, is_affine_perm, primitive_lift
+from torusaffine.lattice import hnf
 from torusaffine.ratpoint import origin, point
-from torusaffine.intmat import matvec
+from torusaffine.intmat import identity, matvec
+from torusaffine.reconstruction import GridMap
 
 
 def loop_points(line, m):
@@ -387,3 +392,55 @@ def test_block_criterion_matches_incidence_test(a, b, c, d):
         RatPoint((x1, y1)),
     ]
     assert is_block(*corners) == block_criterion(x0, x1, y0, y1)
+
+
+# ---------------------------------------------------------- refusals
+
+X_AXIS_2 = line_through(origin(2), (1, 0))
+X_AXIS_3 = line_through(origin(3), (1, 0, 0))
+Y_AXIS_3 = line_through(origin(3), (0, 1, 0))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: RationalSubtorus(origin(2), hnf([(2, 0)])),
+         "tangent lattice must be saturated"),
+        (lambda: RationalSubtorus(origin(2), hnf([(0, 0)])), "no direction"),
+        (lambda: RationalSubtorus(origin(3), hnf([(1, 0)])),
+         "base dimension mismatch"),
+        (lambda: AffineTorusAuto(((1, 0),), origin(2)), "matrix must be square"),
+        (lambda: AffineTorusAuto(identity(2), origin(3)),
+         "translation dimension mismatch"),
+        (lambda: AffineTorusAuto(identity(2), origin(2), modulus=1),
+         "modulus must be at least 2"),
+        (lambda: hnf([]), "empty generating set"),
+        (lambda: hnf([(1, 0), (1, 0, 0)]), "generators of mixed dimension"),
+        (lambda: GridMap(1, 3, (0, 1, 2)), "dimension must be at least 2"),
+        (lambda: GridMap.from_affine(
+            AffineTorusAuto(identity(2), origin(2), modulus=5), 2, 3
+        ), "modulus mismatch"),
+        (lambda: is_affine_perm(2, 3, tuple(range(8))),
+         "image table has the wrong length"),
+        (lambda: DiscreteLine(2, 5, (1, 0), (0, 0, 0)), "dimension mismatch"),
+        (lambda: primitive_lift((2, 4), 6),
+         "generator shares a factor with the modulus"),
+        (lambda: line_hyperplane_count(X_AXIS_2, 2), "axis out of range"),
+        (lambda: line_grid_points(X_AXIS_2, 0), "positive modulus required"),
+        (lambda: is_block(*[origin(3)] * 4), "T^2 points required"),
+        (lambda: intersection_count_2d(X_AXIS_3, Y_AXIS_3), "T^2 lines required"),
+        (lambda: IntersectionCount.finite(-1), "negative count"),
+    ],
+)
+def test_library_refusals(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_grid_oracle_refuses_lines_off_t2():
+    # a T^2 oracle: refused before the determinant of non-square directions
+    for l1, l2 in ((X_AXIS_3, Y_AXIS_3), (X_AXIS_2, Y_AXIS_3)):
+        with pytest.raises(ValueError) as err:
+            grid_oracle_count(l1, l2)
+        assert str(err.value) == "T^2 lines required"

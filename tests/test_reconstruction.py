@@ -12,6 +12,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import product
 from math import gcd
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 from torusaffine.affine import AffineTorusAuto
 from torusaffine.cli import generate_map
 from torusaffine.collineation import collineation_group
-from torusaffine.geometry import is_block
+from torusaffine.geometry import contains_point, is_block, line_through
 from torusaffine.grid import (
     DiscreteLine,
     _units,
@@ -30,9 +31,12 @@ from torusaffine.grid import (
     is_affine_perm,
     line_indices,
     line_points,
+    lines_through,
     point_index,
+    primitive_lift,
 )
 from torusaffine.intmat import det, identity
+from torusaffine.lattice import primitive_part
 from torusaffine.ratpoint import RatPoint, origin
 from torusaffine.reconstruction import (
     GridMap,
@@ -135,6 +139,54 @@ def test_witness_validate_rejects_collinear_images():
     # these three points of a 5-grid line
     other = Witness(((0, 0), (1, 2), (3, 1)), DiscreteLine(2, 5, (1, 2), (0, 0)))
     assert not other.validate(generate_map(2, 7, 0, "random"))
+
+
+def test_grid_lines_are_torus_lines():
+    # The lemma in Witness's docstring, on seeded triples of distinct grid
+    # points, both ways.  A grid line lifts to the torus line through a
+    # along primitive_lift of its generator.  A torus line through the
+    # triple, found among the primitive directions with entries up to 2m
+    # (T^2) or m + 1 (T^3), holds it exactly when a grid line does.  The
+    # triple is translated to a = 0, so one set of torus lines serves all.
+    t0 = perf_counter()
+    rng = random.Random(13)
+    for n, moduli in ((2, range(3, 13)), (3, range(3, 7))):
+        for m in moduli:
+            bound = 2 * m if n == 2 else m + 1
+            dirs = {
+                primitive_part(d)[0]
+                for d in product(range(-bound, bound + 1), repeat=n)
+                if any(d)
+            }
+            torus_lines = [line_through(origin(n), d) for d in sorted(dirs)]
+            seen = set()
+            for i in range(30):
+                a, b, c = (tuple(rng.randrange(m) for _ in range(n)) for _ in range(3))
+                if a == b:
+                    continue
+                if i % 2:  # a third point on a grid line through a and b
+                    line = rng.choice(lines_through(a, b, m))
+                    c = rng.choice([p for p in line.points if p not in (a, b)])
+                elif c in (a, b):
+                    continue
+                held = [ln for ln in lines_through(a, b, m) if c in ln.points]
+                if held:
+                    lift = line_through(
+                        grid_point(*a, m=m), primitive_lift(held[0].generator, m)
+                    )
+                    assert all(
+                        contains_point(lift, grid_point(*p, m=m)) for p in (a, b, c)
+                    )
+                moved = [
+                    grid_point(*(y - x for x, y in zip(a, p)), m=m) for p in (b, c)
+                ]
+                on_torus = any(
+                    all(contains_point(ln, p) for p in moved) for ln in torus_lines
+                )
+                assert on_torus == bool(held), (n, m, a, b, c)
+                seen.add(on_torus)
+            assert seen == {True, False}, (n, m)
+    assert perf_counter() - t0 < 5
 
 
 def test_verify_line_preserving_identity():
