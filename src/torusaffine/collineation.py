@@ -15,9 +15,7 @@ from functools import lru_cache
 from math import prod
 
 from .common import MAX_POINTS, Frozen
-from .grid import (
-    _factorize, _generators, _table, _units, enumerate_discrete_lines, line_indices
-)
+from .grid import _factorize, _generators, enumerate_discrete_lines, line_indices
 
 DEFAULT_NODE_BUDGET = 10**9
 
@@ -157,23 +155,6 @@ def _search_base(inc: IncidenceStructure) -> list[int]:
     return base
 
 
-def _gl2_generators(m: int) -> list[tuple[tuple[int, int], ...]]:
-    """Generators of GL_2(Z/m): the two elementary transvections generate
-    SL_2(Z/m), onto which SL_2(Z) maps, and diag(u, 1) adds the
-    determinants, for u in a greedy generating set of the units mod m."""
-    gens = [((1, 1), (0, 1)), ((1, 0), (1, 1))]
-    reached = {1}
-    for u in _units(m):
-        if u not in reached:
-            gens.append(((u, 0), (0, 1)))
-            grown, power = set(reached), u
-            while power != 1:
-                grown |= {r * power % m for r in reached}
-                power = power * u % m
-            reached = grown
-    return gens
-
-
 def _search(inc: IncidenceStructure, budget: int):
     """The stabilizer of 0 by orbits along _search_base (Sims): (base, orbit
     lengths, strong generators, nodes), or BudgetExceededError.
@@ -183,14 +164,15 @@ def _search(inc: IncidenceStructure, budget: int):
     orbit of base[i] under the generators fixing base[:i] is grown: each
     candidate image outside it and not yet ruled out gets a search for one
     completion, which becomes a new generator, or, when there is none,
-    rules out its whole orbit.  GL_2(Z/m) seeds the generators, with
-    [[1, 1], [0, 1]] and diag(1, u), which fix e1, for the level of e2.
-    A line's only state is the bitmask of its images; candidates lie on a
-    line holding every image of each line through the point, and any two
-    distinct points share a line.  Lines are cosets, so the lines through a
-    and b are through[a][j] for the slots j in dirs[b - a].  A map fixing 0
-    takes the lines through 0 and p one-to-one onto those through 0 and
-    f(p), so a candidate also has as many of them as p."""
+    rules out its whole orbit.  The search finds every generator itself.
+    A line holds the bitmask of its placed images, and its image f(L) once
+    exactly one line holds them all; a placement is refused when no line
+    holds them, or when f(L) has |f(L) ∩ f(L')| ≠ |L ∩ L'| for a line L'
+    with an image, as a collineation is a bijection.  Candidates lie on the
+    image of each line through the point.  Lines are cosets, so the lines
+    through a and b are through[a][j] for the slots j in dirs[b - a].  A
+    map fixing 0 takes the lines through 0 and p one-to-one onto those
+    through 0 and f(p), so a candidate also has as many of them as p."""
     size, m = inc.size, inc.m
     through = inc.through
     masks = inc.masks
@@ -210,9 +192,14 @@ def _search(inc: IncidenceStructure, budget: int):
     img = [0] * size
     used = 1
     line_imgs = [mask & 1 for mask in masks]  # 0 is its own image
+    line_to = [-1] * len(masks)  # the mask of f(L); -1, every point, while unknown
+    recorded = []  # the lines L with f(L) known, in the order found
+    marks = []  # len(recorded) before each placement not yet undone
     nodes = 0
 
-    def assign(p: int, v: int):
+    def assign(p: int, v: int) -> bool:
+        """Place v as p's image; False when that is refused.  Either way
+        `undo(p, v)` takes the placement back."""
         nonlocal nodes, used
         nodes += 1
         if nodes > budget:
@@ -220,61 +207,73 @@ def _search(inc: IncidenceStructure, budget: int):
         img[p] = v
         bit = 1 << v
         used |= bit
+        marks.append(len(recorded))
         for li in incident[p]:
-            line_imgs[li] |= bit
-
-    def undo(p: int, v: int):
-        nonlocal used
-        bit = 1 << v
-        used ^= bit
-        for li in incident[p]:
-            line_imgs[li] ^= bit
-
-    def candidates(p: int) -> int:
-        allowed = allowed0[p]
-        for li in incident[p]:
-            got = line_imgs[li]
+            line_imgs[li] = got = line_imgs[li] | bit
             rest = got & (got - 1)
-            if not rest:
+            if not rest or line_to[li] != -1:
                 continue
             # every line holding all of got passes through its two lowest
             a = (got & -got).bit_length() - 1
             b = (rest & -rest).bit_length() - 1
             here = masks_at[a]
-            union = 0
-            for j in dirs[b - a + m * (b % m < a % m)]:  # b ⊖ a, as a < b
-                cm = here[j]
-                if got & ~cm == 0:
-                    union |= cm
-            allowed &= union
-            if not allowed:
-                return 0
-        return allowed & ~used
+            holders = [here[j] for j in dirs[b - a + m * (b % m < a % m)]
+                       if got & ~here[j] == 0]  # b ⊖ a, as a < b
+            if len(holders) != 1:
+                if holders:
+                    continue
+                return False
+            to, mask = holders[0], masks[li]
+            for lj in recorded:
+                if (mask & masks[lj]).bit_count() != (to & line_to[lj]).bit_count():
+                    return False
+            line_to[li] = to
+            recorded.append(li)
+        return True
+
+    def undo(p: int, v: int):
+        nonlocal used
+        keep = ~(1 << v)  # a refused placement left some lines without v
+        used &= keep
+        for li in incident[p]:
+            line_imgs[li] &= keep
+        mark = marks.pop()
+        for li in recorded[mark:]:
+            line_to[li] = -1
+        del recorded[mark:]
+
+    def candidates(p: int) -> int:
+        allowed = allowed0[p] & ~used
+        for li in incident[p]:
+            allowed &= line_to[li]
+        return allowed
 
     def completion(depth: int):
         """The first map extending the placed base[:depth], or None; the
         placements are left as found."""
         trail = []  # (point, image, candidates not yet tried) per depth
         while depth < len(base):
-            todo = candidates(base[depth])
-            while not todo:
-                if not trail:
-                    return None
-                p, v, todo = trail.pop()
+            p, todo = base[depth], candidates(base[depth])
+            while True:
+                while not todo:
+                    if not trail:
+                        return None
+                    p, v, todo = trail.pop()
+                    undo(p, v)
+                    depth -= 1
+                v = (todo & -todo).bit_length() - 1
+                todo ^= 1 << v
+                if assign(p, v):
+                    break
                 undo(p, v)
-                depth -= 1
-            v = (todo & -todo).bit_length() - 1
-            assign(base[depth], v)
-            trail.append((base[depth], v, todo ^ 1 << v))
+            trail.append((p, v, todo))
             depth += 1
         perm = tuple(img)
-        for p, v, _ in trail:
+        for p, v, _ in reversed(trail):
             undo(p, v)
         return perm
 
-    gl2 = _gl2_generators(m)
-    seeds = gl2 + [((1, 0), (0, u)) for (u, _), _ in gl2[2:]]
-    gens = [(_level(g, base), g) for g in (_table(a, (0, 0), 2, m) for a in seeds)]
+    gens = []
     for p in base:
         assign(p, p)
     orbits = [1] * len(base)
@@ -287,8 +286,7 @@ def _search(inc: IncidenceStructure, budget: int):
         for v in _iter_bits(candidates(p)):
             if v in orbit or v in dead:
                 continue
-            assign(p, v)
-            perm = completion(level + 1)
+            perm = completion(level + 1) if assign(p, v) else None
             undo(p, v)
             if perm is None:
                 dead.update(_transversal(v, here, identity))

@@ -259,27 +259,26 @@ def line_hyperplane_count(line: RationalLine, axis: int) -> IntersectionCount:
 
 
 def line_grid_points(line: RationalLine, m: int) -> tuple[RatPoint, ...]:
-    """The trace of a line on the grid of denominator-m points.
+    """The trace of a line on the grid of denominator-m points, sorted
+    lexicographically: the m points base + (k/m) * direction when the
+    canonical base lies on the grid, and none otherwise."""
+    from .grid import index_point
 
-    Nonempty exactly when the canonical base lies on the grid, in which
-    case it consists of the m points base + (k/m) * direction.  Sorted
-    lexicographically.
-    """
+    return tuple(
+        _canonical(tuple(Fraction(c, m) for c in index_point(i, line.dim, m)))
+        for i in sorted(_trace(line, m))
+    )
+
+
+def _trace(line: RationalLine, m: int) -> set[int]:
+    """The flat indices on the m-grid of the points of line_grid_points."""
+    from .grid import line_indices
+
     if m < 1:
         raise ValueError("positive modulus required")
-    if any(m % c.denominator != 0 for c in line.base.coords):
-        return ()
-    pts = set()
-    for k in range(m):
-        pts.add(
-            RatPoint(
-                tuple(
-                    b + Fraction(k * x, m)
-                    for b, x in zip(line.base.coords, line.direction)
-                )
-            )
-        )
-    return tuple(sorted(pts, key=lambda p: p.coords))
+    if any(m % c.denominator for c in line.base.coords):
+        return set()
+    return set(line_indices([int(c * m) for c in line.base.coords], line.direction, m))
 
 
 def grid_oracle_count(
@@ -305,7 +304,7 @@ def grid_oracle_count(
         raise ValueError(
             f"oracle grid denominator {m} exceeds bound {max_denominator}"
         )
-    return len(set(line_grid_points(l1, m)) & set(line_grid_points(l2, m)))
+    return len(_trace(l1, m) & _trace(l2, m))
 
 
 def _slope_match(a: RatPoint, b: RatPoint, sign: int) -> bool:

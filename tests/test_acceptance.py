@@ -39,7 +39,12 @@ from torusaffine.lattice import (
     smith_invariants,
 )
 from torusaffine.ratpoint import origin
-from torusaffine.reconstruction import GridMap, Witness, check_paper_properties
+from torusaffine.reconstruction import (
+    GridMap,
+    Witness,
+    check_paper_properties,
+    verify_line_preserving,
+)
 from torusaffine.subtorus import (
     RationalSubtorus,
     contains_point,
@@ -422,12 +427,37 @@ def test_search_orders_match_affine_counts_at_primes():
     fields5 = dict(line.split() for line in out5.splitlines())
     assert int(fields5["collineation_order"]) == 12000 == affine_group_order(2, 5)
     assert int(fields5["index"]) == 1
-    assert int(fields5["nodes"]) == 186
+    assert int(fields5["nodes"]) == 140
     print(
         f"search at prime moduli: m=3 order 432 (nodes {fields['nodes']}, "
         f"identical for 1/2/4 workers), m=5 order 12000 in {dt5:.1f}s <= 300s"
     )
     assert dt5 <= 300
+
+
+def test_search_is_fast_at_primes_11_and_13():
+    # each wrong image of e1 + e2 fails within a few nodes once line images
+    # and their intersection sizes are propagated
+    for m, order in ((11, 1597200), (13, 4429152)):
+        t0 = perf_counter()
+        got = collineation_group(2, m)
+        dt = perf_counter() - t0
+        print(f"search at m={m}: order {got.order}, {got.nodes} nodes, {dt:.2f}s < 1s")
+        assert got.order == order == affine_group_order(2, m)
+        assert dt < 1
+
+
+def test_every_strong_generator_is_line_preserving():
+    # an audit of the search by the reconstruction's own line walk
+    t0 = perf_counter()
+    audited = 0
+    for m in range(3, 18):
+        for g in collineation_group(2, m).generators:
+            assert verify_line_preserving(GridMap(2, m, g)) is True
+            audited += 1
+    dt = perf_counter() - t0
+    print(f"strong generators at m=3..17: {audited} line-preserving, {dt:.1f}s <= 10s")
+    assert dt <= 10
 
 
 def test_collineations_are_affine_exactly_when_parallels_and_blocks_hold():

@@ -440,13 +440,21 @@ def test_oracle_agrees_with_exact_count():
     assert grid_oracle_count(l1, l2) == abs(5 * (-3) - 2 * 1)
 
 
+def test_oracle_traces_on_integers(capsys):
+    # two traces of 99855 points each, well inside the default bound
+    t0 = perf_counter()
+    result = run(capsys, "oracle", "--dir1", "316,1", "--dir2", "1,316")
+    assert result[:2] == (0, "count 99855\n")
+    assert perf_counter() - t0 < 3
+
+
 # ------------------------------------------------------------ search
 
 
 def test_search_m3_report(capsys):
     code, out, err = run(capsys, "search", "--m", "3")
     assert code == 0
-    assert out == "collineation_order 432\naffine_order 432\nindex 1\nnodes 20\n"
+    assert out == "collineation_order 432\naffine_order 432\nindex 1\nnodes 44\n"
     assert err.startswith("runtime ")
 
 

@@ -19,7 +19,6 @@ from torusaffine.collineation import (
     build_incidence,
     collineation_group,
     _search_base,
-    _gl2_generators,
 )
 from torusaffine.geometry import RatPoint, line_grid_points, line_through
 from torusaffine.grid import (
@@ -315,7 +314,16 @@ def test_group_m4_exceeds_affine():
 
 @pytest.mark.parametrize(
     "m,order,index",
-    [(7, 98784, 1), (8, 25165824, 256), (9, 8503056, 27), (12, 2654208, 4)],
+    [
+        (7, 98784, 1),
+        (8, 25165824, 256),
+        (9, 8503056, 27),
+        (12, 2654208, 4),
+        (13, 4429152, 1),
+        (16, 6442450944, 1024),
+        (25, 4687500000, 25),
+        (27, 55788550416, 243),
+    ],
 )
 def test_census_orders(m, order, index):
     got = collineation_group(2, m)
@@ -327,6 +335,18 @@ def test_order_at_12_is_the_crt_product():
     # a line of (Z/12)^2 is the product of its reductions mod 3 and mod 4
     orders = {m: collineation_group(2, m).order for m in (3, 4, 12)}
     assert orders[12] == orders[3] * orders[4]
+
+
+def test_orders_at_18_20_and_24_are_crt_products():
+    got = {m: collineation_group(2, m) for m in (3, 4, 5, 8, 9, 18, 20, 24)}
+    assert [(got[m].order, got[m].index) for m in (18, 20, 24)] == [
+        (204073344, 27), (73728000, 4), (10871635968, 256)
+    ]
+    assert got[20].order == got[4].order * got[5].order
+    assert got[24].order == got[3].order * got[8].order
+    # every two of the 4 points of the 2-grid form a line, so G(2) is Sym(4),
+    # of order 4! = 24; the search refuses m = 2
+    assert got[18].order == 24 * got[9].order
 
 
 @pytest.mark.parametrize("m,count", [(3, 1), (4, 4), (5, 1), (8, 256), (9, 27)])
@@ -443,17 +463,6 @@ def test_stabilizer_matches_search_from_every_image_of_e1(m):
     assert set(stabilizer) == set(oracle)
 
 
-def test_linear_generators_reach_every_determinant():
-    # the transvections generate SL_2(Z/m); the determinants must generate
-    # the units mod m for the set to generate GL_2(Z/m)
-    for m in (3, 4, 6, 7, 8, 15):
-        dets = [a * d - b * c for (a, b), (c, d) in _gl2_generators(m)]
-        reached = [1]
-        for x in reached:
-            reached += {x * y % m for y in dets} - set(reached)
-        assert sorted(reached) == [u for u in range(1, m) if gcd(u, m) == 1]
-
-
 def test_budget_is_enforced():
     # the budget caps every node: the search stops at node 101
     with pytest.raises(BudgetExceededError) as err:
@@ -468,11 +477,11 @@ def test_budget_is_enforced():
 
 
 def test_two_workers_stop_at_the_budget_ceiling():
-    # one ceiling for any worker count: m = 6 stops at node 501 of 687
+    # one ceiling for any worker count: m = 6 stops at node 151 of 192
     for workers in (1, 2):
         with pytest.raises(BudgetExceededError) as err:
-            collineation_group(2, 6, workers=workers, budget=500)
-        assert err.value.nodes == 501
+            collineation_group(2, 6, workers=workers, budget=150)
+        assert err.value.nodes == 151
 
 
 def test_search_requires_dimension_two():
