@@ -28,7 +28,7 @@ _EXPORTS = {
         ),
         (
             "grid",
-            "DiscreteLine canonical_generator enumerate_discrete_lines "
+            "DiscreteLine GridMap canonical_generator enumerate_discrete_lines "
             "is_affine_perm line_points lines_through primitive_lift",
         ),
         (
@@ -39,7 +39,7 @@ _EXPORTS = {
         ("ratpoint", "RatPoint origin point"),
         (
             "reconstruction",
-            "GridMap NonaffineCollineationError PropertyReport Witness "
+            "NonaffineCollineationError PropertyReport Witness "
             "check_paper_properties infer_affine verify_line_preserving",
         ),
         (

@@ -28,7 +28,8 @@ from .common import MAX_POINTS
 # collineation search.
 if TYPE_CHECKING:
     from .affine import AffineTorusAuto
-    from .reconstruction import GridMap, Witness
+    from .grid import GridMap
+    from .reconstruction import Witness
 
 
 class InputError(Exception):
@@ -88,14 +89,10 @@ def generate_map(n: int, m: int, seed: int, kind: str) -> GridMap:
     import random
     from math import gcd
 
-    from .grid import _table
+    from .grid import GridMap, _check_grid, _table
     from .intmat import det
-    from .reconstruction import GridMap
 
-    if m < 3:
-        raise InputError("modulus too small")
-    if n < 2:
-        raise InputError("dimension must be at least 2")
+    _check_grid(n, m)
     # m >= 3, so n at or above the ceiling's bit length is already too big;
     # checking that first keeps m**n small.
     if n >= MAX_POINTS.bit_length() or m**n > MAX_POINTS:

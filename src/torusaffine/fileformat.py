@@ -12,8 +12,7 @@ from __future__ import annotations
 import re
 from itertools import product
 
-from .grid import index_point, point_index
-from .reconstruction import GridMap
+from .grid import GridMap, index_point, point_index
 
 HEADER = "TORUSMAP v1"
 

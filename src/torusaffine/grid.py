@@ -1,5 +1,5 @@
-"""The m-grid of the n-torus: point indices, discrete lines and the tables
-of affine maps.
+"""The m-grid of the n-torus: point indices, discrete lines, grid maps and
+the tables of affine maps.
 
 Points are the m^n residue tuples, indexed in lexicographic order.  Lines
 are the cosets of the order-m cyclic subgroups whose generators lift to
@@ -20,6 +20,14 @@ from .common import Frozen
 
 if TYPE_CHECKING:  # imported in is_affine_perm, once its table has matched
     from .affine import AffineTorusAuto
+
+
+def _check_grid(n: int, m: int) -> None:
+    """The size rule of every grid: n >= 2 and m >= 3, n checked first."""
+    if n < 2:
+        raise ValueError("dimension must be at least 2")
+    if m < 3:
+        raise ValueError("modulus too small")
 
 
 def point_index(p: tuple[int, ...], m: int) -> int:
@@ -78,7 +86,6 @@ def _factorize(m: int):
         p += 1
     if m > 1:
         yield m, 1
-
 
 
 def line_points(
@@ -180,10 +187,7 @@ def enumerate_discrete_lines(
     as the canonical (base, generator) pairs of DiscreteLine, in order.
     Generators share few base boxes, so each point tests the boxes and
     takes the sorted generators of those that hold it."""
-    if m < 3:
-        raise ValueError("modulus too small")
-    if n < 2:
-        raise ValueError("dimension must be at least 2")
+    _check_grid(n, m)
     boxes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for g in _generators(n, m):
         boxes.setdefault(_base_box(g, m), []).append(g)
@@ -261,3 +265,36 @@ def is_affine_perm(n: int, m: int, images) -> AffineTorusAuto | None:
         return AffineTorusAuto(matrix, translation, m)
     except ValueError:
         return None
+
+
+class GridMap(Frozen):
+    """A bijection of the m-grid on the n-torus, stored as image indices in
+    lexicographic point order."""
+
+    __slots__ = ("n", "m", "images")
+
+    def __init__(self, n: int, m: int, images: tuple[int, ...]):
+        _check_grid(n, m)
+        size = m**n
+        if len(images) != size:
+            raise ValueError("image table has the wrong length")
+        if len(set(images)) != size or min(images) < 0 or max(images) >= size:
+            raise ValueError("mapping is not a permutation")
+        super().__init__(n, m, images)
+
+    @property
+    def size(self) -> int:
+        return self.m**self.n
+
+    def image_of(self, p: tuple[int, ...]) -> tuple[int, ...]:
+        if len(p) != self.n:
+            raise ValueError("dimension mismatch")
+        return index_point(self.images[point_index(p, self.m)], self.n, self.m)
+
+    @classmethod
+    def from_affine(cls, phi: AffineTorusAuto, n: int, m: int) -> GridMap:
+        """The grid map of phi; an integral phi must move 0 to a grid point
+        (m·b integral), which it then does for every grid point."""
+        if phi.modulus not in (None, m):
+            raise ValueError("modulus mismatch")
+        return cls(n, m, affine_table(phi, n, m))

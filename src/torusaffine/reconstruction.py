@@ -11,26 +11,20 @@ from __future__ import annotations
 
 from itertools import product
 from math import gcd
-from typing import TYPE_CHECKING
 
 from .common import Frozen
 from .grid import (
     DiscreteLine,
+    GridMap,
     _factorize,
     _table,
-    _units,
-    affine_table,
     canonical_generator,
     enumerate_discrete_lines,
     index_point,
     is_affine_perm,
     line_indices,
     lines_through,
-    point_index,
 )
-
-if TYPE_CHECKING:  # imported where a model is built, so a witness never loads it
-    from .affine import AffineTorusAuto
 
 
 class NonaffineCollineationError(Exception):
@@ -39,42 +33,6 @@ class NonaffineCollineationError(Exception):
     Cannot occur for prime moduli; for composite moduli it is a genuine
     (and reportable) possibility.
     """
-
-
-class GridMap(Frozen):
-    """A bijection of the m-grid on the n-torus, stored as image indices in
-    lexicographic point order."""
-
-    __slots__ = ("n", "m", "images")
-
-    def __init__(self, n: int, m: int, images: tuple[int, ...]):
-        if n < 2:
-            raise ValueError("dimension must be at least 2")
-        if m < 3:
-            raise ValueError("modulus too small")
-        size = m**n
-        if len(images) != size:
-            raise ValueError("image table has the wrong length")
-        if len(set(images)) != size or min(images) < 0 or max(images) >= size:
-            raise ValueError("mapping is not a permutation")
-        super().__init__(n, m, images)
-
-    @property
-    def size(self) -> int:
-        return self.m**self.n
-
-    def image_of(self, p: tuple[int, ...]) -> tuple[int, ...]:
-        if len(p) != self.n:
-            raise ValueError("dimension mismatch")
-        return index_point(self.images[point_index(p, self.m)], self.n, self.m)
-
-    @classmethod
-    def from_affine(cls, phi: AffineTorusAuto, n: int, m: int) -> GridMap:
-        """The grid map of phi; an integral phi must move 0 to a grid point
-        (m·b integral), which it then does for every grid point."""
-        if phi.modulus not in (None, m):
-            raise ValueError("modulus mismatch")
-        return cls(n, m, affine_table(phi, n, m))
 
 
 class Witness(Frozen):
@@ -258,16 +216,14 @@ def check_paper_properties(f: GridMap) -> PropertyReport:
     fundamental theorem over F_m (m >= 3, and F_m has no field automorphism
     but the identity), so the coset field is read off `is_affine_perm`."""
     m = f.m
-    # direction -> every generator of the first such line's image subgroup
-    image_gens: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
+    firsts = {}  # direction -> the generator of its first line's image
     parallels = True
     for base, g in enumerate_discrete_lines(f.n, m):
         gen = _image_line(f, line_indices(base, g, m))
         if gen is None:
             raise ValueError("map does not preserve lines")
-        if g not in image_gens:
-            image_gens[g] = {tuple(u * x % m for x in gen) for u in _units(m)}
-        parallels &= gen in image_gens[g]
+        if gen != firsts.setdefault(g, gen):  # equal ones need no canonical form
+            parallels &= canonical_generator(gen, m) == canonical_generator(firsts[g], m)
     blocks = _blocks_preserved(f) if f.n == 2 else None
     subtori = None
     if f.n >= 3 and list(_factorize(m)) == [(m, 1)]:

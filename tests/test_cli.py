@@ -27,8 +27,7 @@ from torusaffine.fileformat import (
     parse_torusmap,
 )
 from torusaffine.geometry import grid_oracle_count, line_through
-from torusaffine.grid import canonical_generator, is_affine_perm
-from torusaffine.reconstruction import GridMap
+from torusaffine.grid import GridMap, canonical_generator, is_affine_perm
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -126,6 +125,17 @@ def test_gen_rejects_small_modulus(capsys):
     code, out, err = run(capsys, "gen", "--n", "2", "--m", "2")
     assert code == 2
     assert "modulus too small" in err
+
+
+def test_gen_checks_the_dimension_before_the_modulus(capsys):
+    # the one size rule of the grid module, as GridMap and a TORUSMAP file
+    # report it: a grid that fails both checks is reported by its dimension
+    for n, m, message in (
+        ("1", "2", "dimension must be at least 2"),
+        ("1", "5", "dimension must be at least 2"),
+        ("2", "2", "modulus too small"),
+    ):
+        assert run(capsys, "gen", "--n", n, "--m", m) == (2, "", f"error: {message}\n")
 
 
 def test_gen_refuses_oversized_grid(capsys):
@@ -682,6 +692,9 @@ def test_package_exports():
     for name in EXPORTS:
         value = getattr(torusaffine, name)
         assert getattr(sys.modules[value.__module__], name) is value, name
+    # one grid-map type, defined in grid and re-exported by the verdict module
+    assert torusaffine.GridMap.__module__ == "torusaffine.grid"
+    assert sys.modules["torusaffine.reconstruction"].GridMap is torusaffine.GridMap
     namespace = {}
     exec("from torusaffine import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == EXPORTS
@@ -715,6 +728,14 @@ assert "torusaffine.collineation" not in sys.modules
 print("ok")
 """
     assert fresh_python("-c", script) == "ok\n"
+    # a grid map is a grid value: it loads no verdict code
+    script = """
+import sys
+from torusaffine import GridMap
+assert GridMap(2, 3, tuple(range(9))).image_of((1, 2)) == (1, 2)
+print(sorted(m for m in sys.modules if m.startswith("torusaffine.")))
+"""
+    assert fresh_python("-c", script) == "['torusaffine.common', 'torusaffine.grid']\n"
 
 
 FOOTPRINT = """
@@ -727,29 +748,28 @@ except SystemExit as exit:
 print(code, " ".join(sorted(sys.modules)))
 """
 
-# What only intersect, oracle and svg need, and what no subcommand needs:
-# the value classes are hand-written and the search runs in one process
-NOT_FOR_GRID_COMMANDS = {
-    "torusaffine.geometry",
-    "torusaffine.lattice",
-    "torusaffine.subtorus",
-    "torusaffine.svgfig",
-    "multiprocessing",
-    "dataclasses",
-    "inspect",
+# The package modules each subcommand loads, exactly; the cli module itself
+# runs as __main__.  A table is built on residues, so gen loads no model and
+# no verdict; a witness loads no rational model; only search loads the
+# collineation search.
+GRID = {"common", "fileformat", "grid"}
+RATIONAL = {"common", "intmat", "lattice", "ratpoint"}
+LOADS = {
+    "gen": GRID | {"intmat"},
+    "affine verdict": GRID | {"affine", "intmat", "ratpoint", "reconstruction"},
+    "witness verdict": GRID | {"reconstruction"},
+    "search": {"collineation", "common", "grid"},
+    "intersect": RATIONAL | {"geometry"},
+    "oracle": RATIONAL | {"geometry", "grid"},
+    "svg": RATIONAL | {"svgfig"},
 }
 
+# No subcommand needs these: the value classes are hand-written and the
+# search runs in one process
+NOT_FOR_ANY_COMMAND = {"multiprocessing", "dataclasses", "inspect"}
 
-# What a witness verdict never runs: the rational model of an affine map
-# and the collineation search
-NOT_FOR_A_WITNESS = {
-    "fractions",
-    "decimal",
-    "torusaffine.affine",
-    "torusaffine.intmat",
-    "torusaffine.ratpoint",
-    "torusaffine.collineation",
-}
+# What neither a witness verdict nor the search runs: rational arithmetic
+NOT_FOR_A_WITNESS = {"fractions", "decimal"}
 
 
 def footprint(*argv, code: int = 0) -> set[str]:
@@ -760,32 +780,31 @@ def footprint(*argv, code: int = 0) -> set[str]:
     return set(loaded)
 
 
-def test_grid_commands_load_only_their_modules(tmp_path):
-    table = tmp_path / "table.txt"
-    for argv in (
-        ("gen", "--m", "16", "--kind", "affine", "--out", table),
-        ("reconstruct", table, "--out", tmp_path / "verdict.txt"),
-    ):
-        loaded = footprint(*argv)
-        assert {"torusaffine.fileformat", "torusaffine.reconstruction"} <= loaded
-        assert not loaded & NOT_FOR_GRID_COMMANDS, argv[0]
-        assert "torusaffine.collineation" not in loaded, argv[0]
-        if argv[0] == "gen":  # the table is built on residues, not a model
-            assert not loaded & {"torusaffine.affine", "torusaffine.ratpoint"}
-    assert (tmp_path / "verdict.txt").read_text().startswith("AFFINE\n")
-    perturbed = tmp_path / "perturbed.txt"
-    footprint("gen", "--m", "16", "--kind", "perturbed", "--out", perturbed)
-    loaded = footprint("reconstruct", perturbed, "--out", tmp_path / "w.txt", code=1)
+def test_each_command_loads_exactly_its_modules(tmp_path):
+    table, perturbed = tmp_path / "table.txt", tmp_path / "perturbed.txt"
+    scene = write_scene(tmp_path, {"lines": [{"direction": [1, 1]}]})
+    out = ("--out", tmp_path / "out.txt")
+    lines = ("--dir1", "1,2", "--dir2", "2,1", *out)
+    runs = (
+        ("gen", ("gen", "--m", "16", "--kind", "affine", "--out", table), 0),
+        ("gen", ("gen", "--m", "16", "--kind", "perturbed", "--out", perturbed), 0),
+        ("affine verdict", ("reconstruct", table, "--out", tmp_path / "v.txt"), 0),
+        ("witness verdict", ("reconstruct", perturbed, "--out", tmp_path / "w.txt"), 1),
+        ("search", ("search", "--m", "3", "--workers", "1", *out), 0),
+        ("search", ("search", "--m", "4", "--workers", "2", *out), 0),
+        ("intersect", ("intersect", *lines), 0),
+        ("oracle", ("oracle", *lines), 0),
+        ("svg", ("svg", scene, *out), 0),
+    )
+    for row, argv, code in runs:
+        loaded = footprint(*argv, code=code)
+        package = {m.split(".", 1)[1] for m in loaded if m.startswith("torusaffine.")}
+        assert package == LOADS[row], row
+        assert not loaded & NOT_FOR_ANY_COMMAND, row
+        if row in ("witness verdict", "search"):
+            assert not loaded & NOT_FOR_A_WITNESS, row
+    assert (tmp_path / "v.txt").read_text().startswith("AFFINE\n")
     assert (tmp_path / "w.txt").read_text().startswith("WITNESS\n")
-    assert {"torusaffine.fileformat", "torusaffine.reconstruction"} <= loaded
-    assert not loaded & (NOT_FOR_GRID_COMMANDS | NOT_FOR_A_WITNESS)
-    for m, workers in (("3", "1"), ("4", "2")):
-        argv = ("search", "--m", m, "--workers", workers, "--out", tmp_path / "s")
-        loaded = footprint(*argv)
-        assert "torusaffine.collineation" in loaded
-        assert not loaded & NOT_FOR_GRID_COMMANDS
-        assert not loaded & {"torusaffine.fileformat", "torusaffine.reconstruction"}
-        assert not loaded & {"fractions", "torusaffine.ratpoint"}
 
 
 def test_property_report_loads_no_rational_model():

@@ -49,8 +49,11 @@ def test_line_counts():
 def test_modulus_and_dimension_guards():
     with pytest.raises(ValueError, match="modulus too small"):
         enumerate_discrete_lines(2, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="dimension must be at least 2"):
         enumerate_discrete_lines(1, 5)
+    # the dimension is checked first, as GridMap checks it
+    with pytest.raises(ValueError, match="dimension must be at least 2"):
+        enumerate_discrete_lines(1, 2)
 
 
 def test_canonical_generator():
@@ -360,6 +363,52 @@ def test_normalized_maps_number_the_index(m, count):
     assert len(normalized) == len(set(normalized)) == count == got.index
     for f in normalized:
         assert [f[p] for p in (0, *got.base[:2])] == [0, *got.base[:2]]
+
+
+@pytest.mark.parametrize(
+    "m,p,normalized_count,reduced_count,kernel_order,dim",
+    [(4, 2, 4, 1, 4, 2), (8, 2, 256, 4, 64, 6), (9, 3, 27, 1, 27, 3),
+     (16, 2, 1024, 16, 64, 6)],
+)
+def test_reduction_mod_m_over_p_and_its_kernel(
+    m, p, normalized_count, reduced_count, kernel_order, dim
+):
+    # At m = p^k, with q = m/p: every normalized map (fixing 0, e1, e2) is
+    # well defined mod q and reduces to a normalized map there.  The maps
+    # that reduce to the identity are x -> x + q·D(x mod q), and their
+    # fields D form an F_p-space.  At q = 2 a bijection fixing three of the
+    # four points is the identity, the only normalized map.
+    q = m // p
+    normalized = list(collineation_group(2, m).stabilizer(2))
+    assert len(normalized) == normalized_count
+    identity = tuple(range(q * q))
+    lower = set(collineation_group(2, q).stabilizer(2)) if q > 2 else {identity}
+    points = [index_point(i, 2, m) for i in range(m * m)]
+    reduced, kernel = set(), []
+    for f in normalized:
+        red = [None] * (q * q)
+        for x, i in zip(points, f):
+            j, image = point_index(x, q), point_index(index_point(i, 2, m), q)
+            assert red[j] in (None, image)
+            red[j] = image
+        assert tuple(red) in lower
+        reduced.add(tuple(red))
+        if tuple(red) != identity:
+            continue
+        field = [None] * (q * q)
+        for x, i in zip(points, f):
+            d = tuple((y - c) % m // q for c, y in zip(x, index_point(i, 2, m)))
+            assert field[point_index(x, q)] in (None, d)
+            field[point_index(x, q)] = d
+        kernel.append(tuple(field))
+    assert len(reduced) == reduced_count
+    fields = set(kernel)  # a field determines its map, so none repeats
+    assert len(kernel) == len(fields) == kernel_order == p**dim
+    for a, b in product(fields, repeat=2):
+        total = tuple(
+            tuple((u + v) % p for u, v in zip(da, db)) for da, db in zip(a, b)
+        )
+        assert total in fields
 
 
 def test_m4_stabilizer_is_genuine():
