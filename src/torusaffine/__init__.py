@@ -36,11 +36,11 @@ _EXPORTS = {
             "LatticeBasis hnf is_primitive is_unimodular primitive_part "
             "saturate smith_invariants snf_decomposition",
         ),
+        ("properties", "PropertyReport check_paper_properties"),
         ("ratpoint", "RatPoint origin point"),
         (
             "reconstruction",
-            "NonaffineCollineationError PropertyReport Witness "
-            "check_paper_properties infer_affine verify_line_preserving",
+            "NonaffineCollineationError Witness infer_affine verify_line_preserving",
         ),
         (
             "subtorus",

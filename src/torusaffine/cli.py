@@ -32,10 +32,6 @@ if TYPE_CHECKING:
     from .reconstruction import Witness
 
 
-class InputError(Exception):
-    """Bad command-line input (exit code 2)."""
-
-
 # ------------------------------------------------------------ helpers
 
 
@@ -43,16 +39,16 @@ def _parse_pair(text: str, parse, kind: str) -> tuple:
     try:
         pair = tuple(parse(tok) for tok in text.split(","))
     except (ValueError, ZeroDivisionError) as err:
-        raise InputError(f"bad {kind} pair {text!r}") from err
+        raise ValueError(f"bad {kind} pair {text!r}") from err
     if len(pair) != 2:
-        raise InputError(f"expected two comma-separated {kind}s, got {text!r}")
+        raise ValueError(f"expected two comma-separated {kind}s, got {text!r}")
     return pair
 
 
 def _read_text(path: str) -> str:
     if path == "-":
         if sys.stdin is None:
-            raise InputError("stdin is closed")
+            raise ValueError("stdin is closed")
         # Decode stdin as a file is decoded: ASCII, universal newlines.
         sys.stdin.reconfigure(encoding="ascii", newline=None)
         return sys.stdin.read()
@@ -60,7 +56,7 @@ def _read_text(path: str) -> str:
         with open(path, "r", encoding="ascii") as fh:
             return fh.read()
     except OSError as err:
-        raise InputError(str(err)) from err
+        raise ValueError(str(err)) from err
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -77,7 +73,7 @@ def _line_from_args(dir_text: str, base_text: str):
 
     direction = _parse_pair(dir_text, int, "integer")
     if direction == (0, 0):
-        raise InputError("direction must be nonzero")
+        raise ValueError("direction must be nonzero")
     return line_through(_parse_pair(base_text, parse_rational, "rational"), direction)
 
 
@@ -96,7 +92,7 @@ def generate_map(n: int, m: int, seed: int, kind: str) -> GridMap:
     # m >= 3, so n at or above the ceiling's bit length is already too big;
     # checking that first keeps m**n small.
     if n >= MAX_POINTS.bit_length() or m**n > MAX_POINTS:
-        raise InputError(f"grid m**n is larger than {MAX_POINTS} points")
+        raise ValueError(f"grid m**n is larger than {MAX_POINTS} points")
     rng = random.Random(seed)
     size = m**n
     if kind == "random":
@@ -185,7 +181,7 @@ def _cmd_intersect(args) -> int:
         _write_text(args.out, "count infinite\n")
         return 0
     if result.count > MAX_POINTS:
-        raise InputError(
+        raise ValueError(
             f"{result.count} intersection points, more than {MAX_POINTS} to list"
         )
     lines = [f"count {result.count}"]
@@ -212,8 +208,6 @@ def _cmd_oracle(args) -> int:
 def _cmd_search(args) -> int:
     from .collineation import BudgetExceededError, collineation_group
 
-    if args.m < 3:
-        raise InputError("modulus too small")
     start = time.perf_counter()
     try:
         summary = collineation_group(
@@ -246,7 +240,7 @@ def _cmd_svg(args) -> int:
     try:
         scene = json.loads(text)
     except json.JSONDecodeError as err:
-        raise InputError(f"scene is not valid JSON: {err}") from err
+        raise ValueError(f"scene is not valid JSON: {err}") from err
     _write_text(args.out, render_scene(scene))
     return 0
 
@@ -325,7 +319,7 @@ def main(argv: list[str] | None = None) -> int:
         # the interpreter's final flush of what is still buffered succeeds.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
-    except (InputError, ValueError) as err:
+    except ValueError as err:
         # TorusMapFormatError and SceneError are ValueErrors
         print(f"error: {err}", file=sys.stderr)
         return 2

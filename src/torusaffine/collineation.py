@@ -15,7 +15,8 @@ from functools import lru_cache
 from math import prod
 
 from .common import MAX_POINTS, Frozen
-from .grid import _factorize, _generators, enumerate_discrete_lines, line_indices
+from .grid import _check_grid, _factorize, _generators
+from .grid import enumerate_discrete_lines, line_indices
 
 DEFAULT_NODE_BUDGET = 10**9
 
@@ -310,6 +311,7 @@ def collineation_group(
     incidences is refused before any of it is built."""
     if n != 2:
         raise ValueError("exhaustive search is implemented for dimension 2 only")
+    _check_grid(n, m)
     if budget is not None and budget < 0:
         raise ValueError(f"search budget {budget} is negative")
     size = m**n

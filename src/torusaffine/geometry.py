@@ -51,11 +51,11 @@ class RationalSubtorus(Frozen):
     __slots__ = ("base", "lattice")
 
     def __init__(self, base: RatPoint, lattice: LatticeBasis):
-        if not lattice.saturated:
-            raise ValueError("tangent lattice must be saturated")
         k = lattice.rank
         if k == 0:
             raise ValueError("no direction")
+        if not lattice.saturated:
+            raise ValueError("tangent lattice must be saturated")
         if base.dim != lattice.dim:
             raise ValueError("base dimension mismatch")
         # In split coordinates the base keeps its transversal part and its
@@ -94,7 +94,7 @@ class RationalLine(RationalSubtorus):
 
     def __init__(self, base: RatPoint, direction: Sequence[int]):
         prim, _ = primitive_part(direction)
-        super().__init__(base, LatticeBasis((prim,), saturated=True))
+        super().__init__(base, LatticeBasis((prim,), True))
 
     @property
     def direction(self) -> tuple[int, ...]:

@@ -87,10 +87,6 @@ class LatticeBasis(Frozen):
 
     __slots__ = ("vectors", "saturated")
 
-    def __init__(self, vectors: tuple[IntVec, ...], saturated: bool):
-        object.__setattr__(self, "vectors", vectors)
-        object.__setattr__(self, "saturated", saturated)
-
     @property
     def rank(self) -> int:
         return len(self.vectors)
@@ -148,8 +144,8 @@ def hnf(vectors: Iterable[Sequence[int]]) -> LatticeBasis:
     reduced = _row_hnf(vecs)
     basis = tuple(tuple(row) for row in reduced)
     if not basis:
-        return LatticeBasis(vectors=(), saturated=True)
-    return LatticeBasis(vectors=basis, saturated=_minors_gcd(basis) == 1)
+        return LatticeBasis((), True)
+    return LatticeBasis(basis, _minors_gcd(basis) == 1)
 
 
 def _minors_gcd(basis: Sequence[Sequence[int]]) -> int:

@@ -30,10 +30,7 @@ from .ratpoint import RatPoint, _canonical, origin
 def subtorus_span(base: RatPoint, dirs) -> RationalSubtorus:
     """Smallest rational subtorus coset through base with the given tangent
     directions."""
-    lattice = saturate(hnf(dirs))
-    if lattice.rank == 0:
-        raise ValueError("no direction")
-    return RationalSubtorus(base, lattice)
+    return RationalSubtorus(base, saturate(hnf(dirs)))
 
 
 def line_as_subtorus(line: RationalLine) -> RationalSubtorus:

@@ -38,13 +38,9 @@ from torusaffine.lattice import (
     saturate,
     smith_invariants,
 )
+from torusaffine.properties import check_paper_properties
 from torusaffine.ratpoint import origin
-from torusaffine.reconstruction import (
-    GridMap,
-    Witness,
-    check_paper_properties,
-    verify_line_preserving,
-)
+from torusaffine.reconstruction import GridMap, Witness, verify_line_preserving
 from torusaffine.subtorus import (
     RationalSubtorus,
     contains_point,

@@ -507,6 +507,11 @@ def test_search_budget_flag(capsys):
     assert err == "error: search budget exceeded after 51 nodes\n"
 
 
+def test_search_refuses_a_small_modulus_before_its_budget(capsys):
+    for argv in (("--m", "2"), ("--m", "2", "--budget", "-1"), ("--m", "-1000000")):
+        assert run(capsys, "search", *argv) == (2, "", "error: modulus too small\n")
+
+
 def test_search_refuses_negative_budget(capsys):
     code, out, err = run(capsys, "search", "--m", "3", "--budget", "-5")
     assert (code, out) == (2, "")
@@ -695,6 +700,9 @@ def test_package_exports():
     # one grid-map type, defined in grid and re-exported by the verdict module
     assert torusaffine.GridMap.__module__ == "torusaffine.grid"
     assert sys.modules["torusaffine.reconstruction"].GridMap is torusaffine.GridMap
+    # the paper-property checks live apart from the verdict
+    for name in ("PropertyReport", "check_paper_properties"):
+        assert getattr(torusaffine, name).__module__ == "torusaffine.properties"
     namespace = {}
     exec("from torusaffine import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == EXPORTS
@@ -736,6 +744,13 @@ assert GridMap(2, 3, tuple(range(9))).image_of((1, 2)) == (1, 2)
 print(sorted(m for m in sys.modules if m.startswith("torusaffine.")))
 """
     assert fresh_python("-c", script) == "['torusaffine.common', 'torusaffine.grid']\n"
+    # the verdict module loads no property checks
+    script = """
+import sys
+import torusaffine.reconstruction
+print("torusaffine.properties" in sys.modules)
+"""
+    assert fresh_python("-c", script) == "False\n"
 
 
 FOOTPRINT = """
@@ -810,7 +825,7 @@ def test_each_command_loads_exactly_its_modules(tmp_path):
 def test_property_report_loads_no_rational_model():
     script = """
 import sys
-from torusaffine.reconstruction import GridMap, check_paper_properties
+from torusaffine.properties import GridMap, check_paper_properties
 report = check_paper_properties(GridMap(2, 5, tuple(range(25))))
 assert report.parallels_preserved and report.blocks_preserved
 rational = {"fractions", "torusaffine.affine", "torusaffine.intmat",

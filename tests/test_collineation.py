@@ -538,6 +538,17 @@ def test_search_requires_dimension_two():
         collineation_group(3, 3)
 
 
+def test_search_checks_the_grid_size_rule_first():
+    # the grid module's rule, ahead of the budget check and the incidence
+    # bound, and before any table is built
+    before = build_incidence.cache_info()
+    for m in (2, 1, 0, -3, -10**6):
+        for budget in (None, -1):
+            with pytest.raises(ValueError, match="^modulus too small$"):
+                collineation_group(2, m, budget=budget)
+    assert build_incidence.cache_info() == before
+
+
 def test_search_refuses_a_table_over_a_million_incidences():
     # m = 78 = 2·3·13: 6084 points on 3·4·14 = 168 lines each
     with pytest.raises(ValueError, match="point-line incidences"):

@@ -39,7 +39,8 @@ from torusaffine.lattice import (
     smith_invariants,
     snf_decomposition,
 )
-from torusaffine.reconstruction import GridMap, PropertyReport, Witness
+from torusaffine.properties import PropertyReport
+from torusaffine.reconstruction import GridMap, Witness
 from torusaffine.subtorus import ComponentDecomposition, intersect_subtori, subtorus_span
 
 

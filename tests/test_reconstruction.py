@@ -37,17 +37,19 @@ from torusaffine.grid import (
 )
 from torusaffine.intmat import det, identity
 from torusaffine.lattice import primitive_part
+from torusaffine.properties import (
+    PropertyReport,
+    check_paper_properties,
+    _blocks_preserved,
+    _direction_normalizer,
+)
 from torusaffine.ratpoint import RatPoint, origin
 from torusaffine.reconstruction import (
     GridMap,
     NonaffineCollineationError,
-    PropertyReport,
     Witness,
-    check_paper_properties,
     infer_affine,
     verify_line_preserving,
-    _blocks_preserved,
-    _direction_normalizer,
     _image_line,
 )
 
